@@ -9,18 +9,16 @@ gate happens to execute, and it reports *that* a counter diverged, not
 *where the codegen went wrong*.  This rule is the static complement:
 
 1. compile every plan of the bench workload matrix (the same matrix
-   ``tests/test_kernels.py`` differentials run over), in **both**
-   ``profiled=`` variants;
+   ``tests/test_kernels.py`` differentials run over);
 2. parse each generated kernel's attached ``__source__``;
 3. verify every counter-charge site present in the micro-step handlers
    — ``worker._vertex_function`` (stage visits/passes), the
-   ``hops.py`` cursor ``advance`` methods (profiler ``scanned``),
-   ``machine.route`` (profiler ``emitted``) and ``machine.emit_result``
-   (``results_emitted`` + profiler ``emitted``) — appears in the kernel
-   **exactly** the expected number of times, that the unprofiled
-   variant contains zero profiler references (the zero-cost-off claim
-   at codegen level), that generated trace calls are guarded, and that
-   the generated reservation protocol cannot leak
+   ``hops.py`` cursor ``advance`` methods (``stage_scanned``),
+   ``machine.route`` (``stage_local_in``/``stage_remote_in``) and
+   ``machine.emit_result`` (``results_emitted``) — appears in the
+   kernel **exactly** the expected number of times, that generated
+   trace calls are guarded, and that the generated reservation
+   protocol cannot leak
    (:class:`~repro.analysis.flows.ReservationAnalysis` over the kernel
    body).
 
@@ -43,25 +41,25 @@ from repro.analysis.flows import ReservationAnalysis, call_aliases
 from repro.analysis.guards import UnguardedCallScanner, dotted_parts
 
 #: Counter families the audit models (the vocabulary of the handler
-#: cross-check and the per-kernel expectation table).
-_FAMILIES = ("stage_visits", "stage_passes", "scanned", "emitted",
-             "results_emitted")
+#: cross-check and the per-kernel expectation table).  Any other
+#: ``stage_*`` list a handler charges is an unmodeled family, except
+#: ``stage_load`` (termination bookkeeping, not a profile counter).
+_FAMILIES = ("stage_visits", "stage_passes", "stage_scanned",
+             "stage_local_in", "stage_remote_in", "results_emitted")
 
 #: What each micro-step handler charges.  ``hops.py`` cursor ``advance``
 #: methods may charge a subset (the output cursor charges nothing).
 _HANDLER_CHARGES = {
     ("repro.runtime.worker", "_vertex_function"):
         frozenset({"stage_visits", "stage_passes"}),
-    ("repro.runtime.hops", "advance"): frozenset({"scanned"}),
-    ("repro.runtime.machine", "route"): frozenset({"emitted"}),
+    ("repro.runtime.hops", "advance"): frozenset({"stage_scanned"}),
+    ("repro.runtime.machine", "route"):
+        frozenset({"stage_local_in", "stage_remote_in"}),
     ("repro.runtime.machine", "emit_result"):
-        frozenset({"results_emitted", "emitted"}),
+        frozenset({"results_emitted"}),
 }
 
 #: Tracer-ish handles that must stay guarded inside generated source.
-#: ``profiler`` is deliberately absent: profiled kernels are installed
-#: iff a profiler is attached, so their charges are guard-free by
-#: contract (and the unprofiled variant must not mention it at all).
 _KERNEL_TRACERISH = frozenset({"trace", "tracer", "telemetry"})
 
 #: Process-wide cache of the (expensive, deterministic) dynamic audit:
@@ -84,25 +82,23 @@ class KernelCodegenAuditRule(Rule):
     project_wide = True
     rationale = (
         "The bulk kernels are generated source, and the deterministic "
-        "metrics they charge (stage visits/passes, profiler scanned/"
-        "emitted cardinalities, result counts, micro-ops) are exactly "
-        "what the regression, parity, and drift gates compare. The "
-        "runtime differential proves equality for executed plans; this "
-        "audit proves the *shape*: it compiles both profiled variants of "
-        "every plan in the bench matrix, parses the generated source, "
-        "and checks each handler-side charge site appears in the kernel "
-        "exactly once per semantic event — plus that the unprofiled "
-        "variant contains zero profiler references, generated trace "
-        "calls stay guarded, and the generated reservation protocol "
-        "releases on every path. A pure-AST cross-check over worker.py/"
-        "hops.py/machine.py fails the audit itself when a handler grows "
-        "a counter family this table does not model."
+        "metrics they charge (stage visits/passes/scanned, local and "
+        "remote emission, result counts, micro-ops) are exactly what the "
+        "regression, parity, and drift gates compare. The runtime "
+        "differential proves equality for executed plans; this audit "
+        "proves the *shape*: it compiles every plan in the bench matrix, "
+        "parses the generated source, and checks each handler-side "
+        "charge site appears in the kernel exactly as often as the "
+        "kernel kind implies — plus that generated trace calls stay "
+        "guarded and the generated reservation protocol releases on "
+        "every path. A pure-AST cross-check over worker.py/hops.py/"
+        "machine.py fails the audit itself when a handler grows a "
+        "counter family this table does not model."
     )
     example = (
         "# codegen must mirror machine.emit_result exactly once:\n"
         "#   rt.collector.add(ctx)\n"
         "#   M.results_emitted += 1\n"
-        "#   rt.profiler.emitted[-1] += 1   (profiled variant only)\n"
         "# a second charge, or a dropped one, fails the audit with the\n"
         "# workload/stage/counter that diverged."
     )
@@ -139,10 +135,16 @@ def _charge_family(target):
     chain = dotted_parts(node)
     if chain is None:
         return None
-    if "profiler" in chain[:-1]:
-        return chain[-1]
-    if chain[-1] in ("stage_visits", "stage_passes", "results_emitted"):
-        return chain[-1]
+    return _family_of(chain[-1])
+
+
+def _family_of(name):
+    """*name* as a counter family: a modeled one, or an unmodeled
+    ``stage_*`` list."""
+    if name in _FAMILIES:
+        return name
+    if name.startswith("stage_") and name != "stage_load":
+        return name
     return None
 
 
@@ -246,20 +248,17 @@ def _audit_plan_matrix():
             if isinstance(query, str):
                 query = parse_and_validate(query)
             plan = engine.plan(query, options)
-            for profiled in (False, True):
-                kernels = compile_plan_kernels(plan, profiled=profiled)
-                for stage, kernel in zip(plan.stages,
-                                         kernels.stage_kernels):
-                    source = getattr(kernel, "__source__", None)
-                    if source is None:
-                        continue  # generic (cursor-backed) kernel
-                    where = "%s[q%d] stage %d (%s, profiled=%s)" % (
-                        key, index, stage.index, stage.hop.kind.value,
-                        profiled,
-                    )
-                    problems.extend(_audit_kernel_source(
-                        where, key, stage, profiled, source,
-                    ))
+            kernels = compile_plan_kernels(plan)
+            for stage, kernel in zip(plan.stages, kernels.stage_kernels):
+                source = getattr(kernel, "__source__", None)
+                if source is None:
+                    continue  # generic (cursor-backed) kernel
+                where = "%s[q%d] stage %d (%s)" % (
+                    key, index, stage.index, stage.hop.kind.value,
+                )
+                problems.extend(_audit_kernel_source(
+                    where, key, stage, source,
+                ))
     return problems
 
 
@@ -268,34 +267,32 @@ _ZERO_CALLS = {"reserve": 0, "end_batch": 0, "route": 0,
                "collector_add": 0}
 
 
-def _expected_counts(kind, profiled, source):
+def _expected_counts(kind, source):
     """The expectation table: counter/call multiplicities per kernel.
 
     Mirrors the micro-step handlers: one visit + one pass per vertex
-    function, ``scanned`` per inspected edge (profiled only), ``emitted``
-    at every route-equivalent delivery point, ``results_emitted`` and
-    the collector exactly once for OUTPUT, three inline ``ops +=``
-    charge sites per kind, and the NEIGHBOR kernel's reservation
+    function; ``stage_scanned`` twice where an edge run is walked (the
+    whole run when it starts, one more per BLOCKED replay); the inline
+    local and fast-path remote deliveries of the NEIGHBOR kernel (the
+    ``route`` fallbacks charge inside ``route``); ``results_emitted``
+    and the collector exactly once for OUTPUT; three inline ``ops +=``
+    charge sites per kind; and the NEIGHBOR kernel's reservation
     protocol (one reserve, four exit-path end_batch calls, one route
     fallback).
     """
-    counters = {
-        "stage_visits": 1, "stage_passes": 1,
-        "scanned": 0, "emitted": 0, "results_emitted": 0,
-    }
+    counters = {family: 0 for family in _FAMILIES}
+    counters["stage_visits"] = counters["stage_passes"] = 1
     calls = dict(_ZERO_CALLS)
     ops, return_charges = 3, 0
     if kind == "neighbor":
-        counters["scanned"] = 1 if profiled else 0
-        counters["emitted"] = 2 if profiled else 0
+        counters["stage_scanned"] = 2
+        counters["stage_local_in"] = counters["stage_remote_in"] = 1
         calls.update({"reserve": 1, "end_batch": 4, "route": 1})
         return_charges = 1
     elif kind == "vertex":
-        edge_checked = "_EdgeRun(" in source
-        counters["scanned"] = 1 if (profiled and edge_checked) else 0
+        counters["stage_scanned"] = 2 if "_EdgeRun(" in source else 0
         calls["route"] = 1
     elif kind == "output":
-        counters["emitted"] = 1 if profiled else 0
         counters["results_emitted"] = 1
         calls["collector_add"] = 1
     return counters, calls, ops, return_charges
@@ -308,7 +305,7 @@ def _observed_counts(tree):
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
             chain = dotted_parts(node.value)
-            if chain and len(chain) >= 2 and "profiler" in chain:
+            if chain and len(chain) >= 2 and _family_of(chain[-1]):
                 aliases[node.targets[0].id] = chain[-1]
     counters = {family: 0 for family in _FAMILIES}
     calls = dict(_ZERO_CALLS)
@@ -356,7 +353,7 @@ def _observed_counts(tree):
     return counters, calls, ops, return_charges
 
 
-def _audit_kernel_source(where, workload, stage, profiled, source):
+def _audit_kernel_source(where, workload, stage, source):
     """Audit one generated kernel; yields (message, pattern) problems."""
     kind = stage.hop.kind.value
 
@@ -366,12 +363,6 @@ def _audit_kernel_source(where, workload, stage, profiled, source):
             "kernel-audit:%s:%d:%s" % (workload, stage.index, counter),
         )
 
-    if not profiled and "profiler" in source:
-        yield problem(
-            "profiler",
-            "unprofiled kernel source references the profiler — the "
-            "zero-cost-off claim requires zero profiling instructions",
-        )
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
@@ -380,7 +371,7 @@ def _audit_kernel_source(where, workload, stage, profiled, source):
 
     counters, calls, ops, return_charges = _observed_counts(tree)
     exp_counters, exp_calls, exp_ops, exp_returns = _expected_counts(
-        kind, profiled, source)
+        kind, source)
     for family in _FAMILIES:
         if counters[family] != exp_counters[family]:
             yield problem(family, (

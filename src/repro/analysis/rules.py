@@ -148,8 +148,7 @@ class DeterminismRule(Rule):
 # ----------------------------------------------------------------------
 
 #: Segment names that denote an optional observability handle.
-_TRACERISH = frozenset({"trace", "tracer", "telemetry", "sampler",
-                        "profiler"})
+_TRACERISH = frozenset({"trace", "tracer", "telemetry", "sampler"})
 
 
 class ZeroCostOffRule(Rule):

@@ -34,6 +34,7 @@ from repro.plan.logical import (
     build_logical_plan,
 )
 from repro.plan.options import MatchSemantics
+from repro.runtime.aggregation import arrange_rows
 from repro.runtime.results import ResultSet
 
 
@@ -202,15 +203,16 @@ class JoinEngine(Engine):
             bindings = produced
             peak_rows = max(peak_rows, len(bindings))
 
-        rows = []
+        decorated = []
         for binding in bindings:
             env.bind(binding)
-            rows.append(
-                tuple(
-                    evaluate(item.expr, env)
-                    for item in query.select_items
-                )
-            )
+            decorated.append((
+                tuple(evaluate(item.expr, env) for item in query.order_by),
+                tuple(evaluate(item.expr, env)
+                      for item in query.select_items),
+            ))
+        rows = arrange_rows(decorated, query.distinct, query.order_by,
+                            query.limit)
         columns = [
             item.alias if item.alias else repr(item.expr)
             for item in query.select_items

@@ -95,7 +95,7 @@ def _merge_result(record, result, senders, config):
     if result.stage_profile:
         profile = record["stage_profile"]
         while len(profile) < len(result.stage_profile):
-            profile.append({"visits": 0, "passes": 0, "remote_in": 0})
+            profile.append({})
         for slot, counters in zip(profile, result.stage_profile):
             for name, value in counters.items():
                 slot[name] = slot.get(name, 0) + value
@@ -171,8 +171,7 @@ def run_planner_workload(key, spec, seed=0, bulk_kernels=True):
         likes_edges=spec["likes"],
     )
     engine = PgxdAsyncEngine(graph, config)
-    cost_options = PlannerOptions(scheduling=SchedulingPolicy.COST,
-                                  profile=True)
+    cost_options = PlannerOptions(scheduling=SchedulingPolicy.COST)
     naive_options = PlannerOptions()
     senders = config.num_machines - 1
     record = _blank_record(len(queries))

@@ -40,6 +40,7 @@ import sys
 from repro.bench import EXIT_REGRESSION
 from repro.chaos import PROFILES, profile
 from repro.cluster.config import ClusterConfig
+from repro.context import ExecutionContext
 from repro.errors import QueryAborted
 from repro.graph import load_edge_list, load_json, uniform_random_graph
 from repro.plan import MatchSemantics, PlannerOptions, SchedulingPolicy
@@ -303,8 +304,6 @@ def build_parser():
     )
     _add_graph_args(stats)
     _add_format_args(stats)
-    stats.add_argument("--json", action="store_true",
-                       help="deprecated alias for --format json")
     stats.add_argument("--top", type=int, default=5,
                        help="fan-out triples / top values shown per "
                             "section in table mode (default 5)")
@@ -479,14 +478,12 @@ def _print_abort(aborted):
 
 def cmd_query(args):
     engine, options = _build_engine(args, trace=args.explain_analyze)
-    options.profile = args.explain_analyze
     store = None
     if args.feedback_store:
         from repro.obs.feedback import FeedbackStore
 
         store = FeedbackStore(args.feedback_store)
         options.feedback = store
-        options.profile = True  # record this run's actuals back
     if args.explain:
         plan = engine.plan(args.pgql, options)
         print(plan.describe())
@@ -632,9 +629,9 @@ def cmd_monitor(args):
         else:
             dashboard.attach(telemetry.sampler)
             plan = engine.plan(query, options)
-            result = engine.execute_plan(
-                plan, telemetry=telemetry, deadline=options.timeout_ticks
-            )
+            result = engine.execute_plan(plan, ExecutionContext(
+                telemetry=telemetry, deadline=options.timeout_ticks
+            ))
     except QueryAborted as aborted:
         code = _print_abort(aborted)
         if telemetry.sampler.num_samples:
@@ -1053,10 +1050,7 @@ def cmd_traffic(args):
 def cmd_stats(args):
     graph = load_graph(args)
     stats = graph.statistics()
-    if args.json:
-        print("note: --json is deprecated; use --format json",
-              file=sys.stderr)
-    if args.json or args.format == "json":
+    if args.format == "json":
         print(stats.to_json())
     else:
         print(stats.table(top=args.top))

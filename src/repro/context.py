@@ -1,9 +1,8 @@
 """Per-execution context threaded uniformly through the engine.
 
-Historically ``execute_plan`` / ``run_query`` grew one keyword argument
-per cross-cutting concern (``tracer=``, ``telemetry=``, ``deadline=``),
-and the multi-query service would have added two more.  An
-:class:`ExecutionContext` carries all of them as one value:
+``execute_plan``, ``run_query`` and the multi-query service take one
+:class:`ExecutionContext` instead of a keyword argument per
+cross-cutting concern.  It carries:
 
 * ``tracer`` — a :class:`repro.obs.Tracer`, or None (tracing off);
 * ``telemetry`` — a :class:`repro.obs.Telemetry`, or None (off);
@@ -15,9 +14,6 @@ and the multi-query service would have added two more.  An
 * ``query_id`` — the tenant identity stamped on flow-state snapshots,
   abort diagnostics, and per-tenant telemetry labels; None for plain
   single-query runs.
-
-The legacy keyword arguments still work (thin deprecation shims fold
-them into a context), so existing call sites and tests are unaffected.
 """
 
 from dataclasses import dataclass, replace
@@ -37,9 +33,6 @@ class ExecutionContext:
     priority: int = 1
     #: Tenant identity for scoped diagnostics and telemetry labels.
     query_id: str = None
-    #: Optional repro.obs.feedback.StageProfiler collecting per-stage
-    #: actual cardinalities per machine (plan-vs-actual observability).
-    profiler: object = None
 
     def replace(self, **changes):
         """Return a copy with *changes* applied."""
@@ -77,14 +70,8 @@ class ExecutionContext:
                 config.telemetry_interval if config is not None else 1
             )
             telemetry = Telemetry(interval=interval)
-        profiler = None
-        if options is not None and getattr(options, "profile", False):
-            from repro.obs.feedback import StageProfiler
-
-            profiler = StageProfiler()
         deadline = options.timeout_ticks if options is not None else None
-        context = cls(tracer=tracer, telemetry=telemetry, deadline=deadline,
-                      profiler=profiler)
+        context = cls(tracer=tracer, telemetry=telemetry, deadline=deadline)
         if overrides:
             context = context.replace(**overrides)
         return context

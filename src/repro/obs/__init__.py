@@ -62,7 +62,6 @@ from repro.obs.feedback import (
     ExecutionProfile,
     FeedbackStore,
     MachineStageProfile,
-    StageProfiler,
     build_execution_profile,
     publish_drift,
     q_error,
@@ -101,7 +100,6 @@ __all__ = [
     "Histogram",
     "TimeSeriesSampler",
     "MACHINE_COLUMNS",
-    "StageProfiler",
     "MachineStageProfile",
     "ExecutionProfile",
     "FeedbackStore",

@@ -5,12 +5,11 @@ rows after each logical operator (``CostEstimate.stage_rows``); nothing
 measured what actually happened.  This module closes that loop in three
 layers:
 
-* :class:`StageProfiler` — per-machine *actual* stage cardinalities
-  (contexts entering each stage, neighbor candidates scanned, vertex-
-  function passes, continuations emitted), collected by both execution
-  paths behind the usual ``is not None`` guards (RPR002): the runtime
-  holds either a per-machine view or ``None``, so a disabled profiler
-  costs one pointer comparison per site and the differential oracle
+* :class:`MachineStageProfile` — per-machine *actual* stage
+  cardinalities (contexts entering each stage, neighbor candidates
+  scanned, vertex-function passes, continuations emitted), snapshotted
+  from the runtime's always-on stage counters when a query finishes.
+  Both execution paths keep those counters, so the differential oracle
   (kernels on vs off) covers the profile bit-for-bit.
 * :class:`ExecutionProfile` — the join of estimates against actuals:
   per-operator q-error, per-machine skew/imbalance ratios, and a
@@ -78,13 +77,35 @@ class MachineStageProfile:
 
     COUNTERS = ("visits", "passes", "remote_in", "scanned", "emitted")
 
-    def __init__(self, machine_id, num_stages):
+    def __init__(self, machine_id, visits, passes, remote_in, scanned,
+                 emitted):
         self.machine_id = machine_id
-        self.visits = [0] * num_stages
-        self.passes = [0] * num_stages
-        self.remote_in = [0] * num_stages
-        self.scanned = [0] * num_stages
-        self.emitted = [0] * num_stages
+        self.visits = visits
+        self.passes = passes
+        self.remote_in = remote_in
+        self.scanned = scanned
+        self.emitted = emitted
+
+    @classmethod
+    def snapshot(cls, rt):
+        """Snapshot a finished :class:`~repro.runtime.machine.
+        QueryMachine`'s stage counters.
+
+        Emission is not counted separately: stage ``s`` emitted exactly
+        what it routed into stage ``s + 1`` (local plus remote weight,
+        both charged at the sender), and the output stage emitted one
+        row per ``results_emitted``.
+        """
+        local_in = rt.stage_local_in
+        remote_in = rt.stage_remote_in
+        emitted = [
+            local_in[stage] + remote_in[stage]
+            for stage in range(1, len(remote_in))
+        ]
+        emitted.append(rt.metrics.results_emitted)
+        return cls(rt.machine_id, list(rt.stage_visits),
+                   list(rt.stage_passes), list(remote_in),
+                   list(rt.stage_scanned), emitted)
 
     def total_load(self):
         """Work proxy for straggler detection: visits + scans."""
@@ -95,57 +116,6 @@ class MachineStageProfile:
         for name in self.COUNTERS:
             out[name] = list(getattr(self, name))
         return out
-
-
-class StageProfiler:
-    """Collects actual stage cardinalities across the cluster.
-
-    Created by :meth:`ExecutionContext.from_options` when
-    ``PlannerOptions(profile=True)`` (or ``--explain-analyze``) is set.
-    Each :class:`~repro.runtime.machine.QueryMachine` holds its own
-    :class:`MachineStageProfile` view (or ``None`` — the zero-cost-off
-    default), and :meth:`absorb` copies the runtime's unconditional
-    counters (visits/passes/remote_in) in at finalize time.
-    """
-
-    def __init__(self):
-        self.num_stages = 0
-        self.machines = {}
-
-    def machine(self, machine_id, num_stages):
-        """The per-machine view, created on first use."""
-        if num_stages > self.num_stages:
-            self.num_stages = num_stages
-        view = self.machines.get(machine_id)
-        if view is None:
-            view = MachineStageProfile(machine_id, num_stages)
-            self.machines[machine_id] = view
-        return view
-
-    def absorb(self, machines):
-        """Copy each runtime's unconditional stage counters into its
-        view (the guarded sites only collect ``scanned``/``emitted``)."""
-        for rt in machines:
-            view = self.machine(rt.machine_id, rt.plan.num_stages)
-            view.visits = list(rt.stage_visits)
-            view.passes = list(rt.stage_passes)
-            view.remote_in = list(rt.stage_remote_in)
-
-    def views(self):
-        """Machine views in deterministic (machine id) order."""
-        return [self.machines[mid] for mid in sorted(self.machines)]
-
-    def stage_totals(self):
-        """Across-machine sums: one dict per stage."""
-        totals = [
-            {name: 0 for name in MachineStageProfile.COUNTERS}
-            for _ in range(self.num_stages)
-        ]
-        for view in self.views():
-            for name in MachineStageProfile.COUNTERS:
-                for index, value in enumerate(getattr(view, name)):
-                    totals[index][name] += value
-        return totals
 
 
 class ExecutionProfile:
@@ -248,19 +218,17 @@ def _clip(text, width):
     return text if len(text) <= width else text[: width - 3] + "..."
 
 
-def build_execution_profile(plan, profiler):
-    """Join *plan* estimates against *profiler* actuals.
+def build_execution_profile(plan, stages, per_machine):
+    """Join *plan* estimates against the actuals of one run.
 
-    Works for any plan: without a cost-chosen estimate the operator
-    drift rows are empty but stage totals and skew still report.
-    Returns None when no profiler was attached (profiling off).
+    *stages* is the run's across-machine ``stage_profile`` and
+    *per_machine* its :class:`MachineStageProfile` list in machine-id
+    order.  Works for any plan: without a cost-chosen estimate the
+    operator drift rows are empty but stage totals and skew still
+    report.
     """
-    if profiler is None:
-        return None
-    stages = profiler.stage_totals()
-    per_machine = profiler.views()
     operators = _join_operators(plan, stages)
-    skew, straggler = _skew_rows(per_machine, profiler.num_stages)
+    skew, straggler = _skew_rows(per_machine, len(stages))
     return ExecutionProfile(stages, per_machine, operators, skew,
                             straggler)
 
@@ -340,8 +308,8 @@ def publish_drift(telemetry, profile):
     """Land the drift/skew gauges in the telemetry registry.
 
     The families are declared up-front by ``Telemetry.__init__`` so the
-    Prometheus export has a stable family set whether or not a profile
-    was collected.  No-op when telemetry (or the profile) is off.
+    Prometheus export has a stable family set whether or not a plan had
+    estimates to join.  No-op when telemetry (or the profile) is absent.
     """
     if telemetry is None or profile is None:
         return
@@ -409,12 +377,23 @@ class FeedbackStore:
         path = path or self.path
         with open(path) as handle:
             doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise ValueError(
+                "%s is not a %s document (top level is %s, not an "
+                "object)" % (path, FEEDBACK_SCHEMA, type(doc).__name__)
+            )
         if doc.get("schema") != FEEDBACK_SCHEMA:
             raise ValueError(
                 "%s is not a %s document (schema=%r)"
                 % (path, FEEDBACK_SCHEMA, doc.get("schema"))
             )
-        self._entries = doc.get("queries", {})
+        queries = doc.get("queries", {})
+        if not isinstance(queries, dict):
+            raise ValueError(
+                "%s: 'queries' is %s, not an object"
+                % (path, type(queries).__name__)
+            )
+        self._entries = queries
         return self
 
     def save(self, path=None):

@@ -438,9 +438,9 @@ class Telemetry:
             "stages this machine has declared COMPLETED",
             labels=("machine",),
         )
-        # Plan-vs-actual drift gauges, set by feedback.publish_drift when
-        # a stage profile was collected; declared up-front so the export
-        # has a stable family set either way.
+        # Plan-vs-actual drift gauges, set by feedback.publish_drift at
+        # finalize; declared up-front so the export has a stable family
+        # set whether or not the plan carried estimates.
         self.plan_estimated_rows = registry.gauge(
             "repro_plan_estimated_rows",
             "cost-model estimated rows after each logical operator",

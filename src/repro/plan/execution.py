@@ -192,7 +192,7 @@ class ExecutionPlan:
         #: scheduling policy made an order/operator decision (None for
         #: appearance order or an explicit vertex_order).
         self.choice = None
-        self._bulk_kernels = {}
+        self._bulk_kernels = None
 
     @property
     def num_stages(self):
@@ -202,25 +202,20 @@ class ExecutionPlan:
     def root(self):
         return self.stages[0]
 
-    def bulk_kernels(self, profiled=False):
-        """The plan's compiled bulk kernels (built once per variant).
+    def bulk_kernels(self):
+        """The plan's compiled bulk kernels (built once).
 
         Plan finalization is where per-stage specialization belongs —
         every check a kernel compiles in (label ids, iso slots, filters,
         captures) is fixed here.  The import is deferred so the plan
         layer stays import-independent of the runtime package until a
-        machine actually asks for the fast path.  *profiled* selects the
-        stage-cardinality-instrumented variant (repro.obs.feedback);
-        the default variant contains no profiling instructions at all,
-        so collection off costs literally nothing on this path.
+        machine actually asks for the fast path.
         """
-        kernels = self._bulk_kernels.get(profiled)
-        if kernels is None:
+        if self._bulk_kernels is None:
             from repro.runtime.kernels import compile_plan_kernels
 
-            kernels = compile_plan_kernels(self, profiled=profiled)
-            self._bulk_kernels[profiled] = kernels
-        return kernels
+            self._bulk_kernels = compile_plan_kernels(self)
+        return self._bulk_kernels
 
     def describe(self):
         """Human-readable stage listing (mirrors paper Figure 2).

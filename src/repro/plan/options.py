@@ -54,12 +54,6 @@ class PlannerOptions:
     #: clock passes it.  Overrides ``ClusterConfig.query_deadline_ticks``;
     #: for union-executed queries each expansion gets the full budget.
     timeout_ticks: int = None
-    #: Collect per-stage actual cardinalities (a ``StageProfiler`` from
-    #: ``repro.obs.feedback``), joined against the cost model's
-    #: estimates as ``QueryResult.execution_profile()``.  Off by
-    #: default: the runtime then holds None and the hot paths pay one
-    #: pointer comparison per site (zero-cost-off, RPR002).
-    profile: bool = False
     #: A ``repro.obs.feedback.FeedbackStore`` of recorded execution
     #: profiles.  Consumed only under ``SchedulingPolicy.COST``, where
     #: recorded actuals correct the model's selectivities on

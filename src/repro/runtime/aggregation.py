@@ -222,8 +222,9 @@ def finalize(output_spec, raw_rows, vertex_vars, edge_vars):
         for ctx in raw_rows:
             accumulator.add(ctx)
         return finalize_grouped(output_spec, accumulator, env)
-    rows = _finalize_plain(output_spec, raw_rows, env)
-    return _wrap(output_spec, rows)
+    selects = [item.expr for item in output_spec.select_items]
+    decorated = _project_rows(selects, output_spec.order_by, raw_rows, env)
+    return _wrap(output_spec, decorated)
 
 
 def finalize_grouped(spec, accumulator, env=None):
@@ -251,39 +252,10 @@ def finalize_grouped(spec, accumulator, env=None):
         else:
             sort_key = ()
         decorated.append((sort_key, row))
-    if spec.distinct:
-        # SELECT DISTINCT with GROUP BY: groups are unique by key, but
-        # the projected rows may still collide (e.g. the key is not
-        # selected); SQL semantics deduplicate them.
-        seen = set()
-        unique = []
-        for key, row in decorated:
-            if row in seen:
-                continue
-            seen.add(row)
-            unique.append((key, row))
-        decorated = unique
-    if spec.order_by:
-        _sort_decorated(decorated, spec.order_by)
-    return _wrap(spec, [row for _key, row in decorated])
-
-
-def _finalize_plain(spec, raw_rows, env):
-    selects = [item.expr for item in spec.select_items]
-    order_items = spec.order_by
-    decorated = _project_rows(selects, order_items, raw_rows, env)
-    if spec.distinct:
-        seen = set()
-        unique = []
-        for key, row in decorated:
-            if row in seen:
-                continue
-            seen.add(row)
-            unique.append((key, row))
-        decorated = unique
-    if order_items:
-        _sort_decorated(decorated, order_items)
-    return [row for _key, row in decorated]
+    # SELECT DISTINCT with GROUP BY: groups are unique by key, but the
+    # projected rows may still collide (e.g. the key is not selected);
+    # SQL semantics deduplicate them.
+    return _wrap(spec, decorated)
 
 
 def _project_rows(selects, order_items, raw_rows, env):
@@ -316,10 +288,34 @@ def _project_rows(selects, order_items, raw_rows, env):
     return decorated
 
 
-def _wrap(spec, rows):
-    if spec.limit is not None:
-        rows = rows[: spec.limit]
-    return ResultSet(spec.column_names, rows)
+def _wrap(spec, decorated):
+    return ResultSet(spec.column_names, arrange_rows(
+        decorated, spec.distinct, spec.order_by, spec.limit
+    ))
+
+
+def arrange_rows(decorated, distinct, order_items, limit):
+    """Apply DISTINCT, ORDER BY and LIMIT to ``(sort_key, row)`` pairs.
+
+    Returns the final row list: first occurrences of each distinct row,
+    stably sorted by *order_items*, then truncated to *limit* (None =
+    no limit).
+    """
+    if distinct:
+        seen = set()
+        unique = []
+        for key, row in decorated:
+            if row in seen:
+                continue
+            seen.add(row)
+            unique.append((key, row))
+        decorated = unique
+    if order_items:
+        _sort_decorated(decorated, order_items)
+    rows = [row for _key, row in decorated]
+    if limit is not None:
+        rows = rows[:limit]
+    return rows
 
 
 def _sort_decorated(decorated, order_items):

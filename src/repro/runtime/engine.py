@@ -13,11 +13,13 @@ from repro.context import ExecutionContext
 from repro.engine_api import Engine
 from repro.errors import ClusterConfigError, QueryAborted
 from repro.graph.distributed import DistributedGraph
+from repro.obs.feedback import MachineStageProfile, build_execution_profile, \
+    publish_drift
 from repro.pgql import parse_and_validate
 from repro.pgql.ast import Query, SelectItem
 from repro.plan import PlannerOptions, plan_query
 from repro.plan.paths import expand_quantified_paths, has_quantified_paths
-from repro.runtime.aggregation import _sort_decorated, finalize, \
+from repro.runtime.aggregation import arrange_rows, finalize, \
     finalize_grouped
 from repro.runtime.machine import QueryMachine
 from repro.runtime.results import ResultSet
@@ -27,15 +29,18 @@ class QueryResult:
     """The outcome of one query execution."""
 
     def __init__(self, result_set, metrics, plan, stage_profile=None,
-                 trace=None, telemetry=None, profiler=None):
+                 trace=None, telemetry=None, machine_profiles=None):
         self.result_set = result_set
         self.metrics = metrics
         self.plan = plan
-        #: Per-stage counters (EXPLAIN ANALYZE): list of dicts with
-        #: ``visits`` (contexts entering the vertex function), ``passes``
-        #: (contexts surviving its checks), and ``remote_in`` (contexts
-        #: shipped to the stage over the network).  None for results that
-        #: did not run on the distributed runtime (e.g. baselines).
+        #: Per-stage counters (EXPLAIN ANALYZE), summed over machines:
+        #: list of dicts with ``visits`` (contexts entering the vertex
+        #: function), ``passes`` (contexts surviving its checks),
+        #: ``remote_in`` (contexts shipped to the stage over the
+        #: network), ``scanned`` (neighbor candidates / edge ids its hop
+        #: inspected) and ``emitted`` (continuation weight it produced;
+        #: result rows for the output stage).  None for results that did
+        #: not run on the distributed runtime (e.g. baselines).
         self.stage_profile = stage_profile
         #: The :class:`repro.obs.Tracer` that recorded this execution, or
         #: None when tracing was off (the default).
@@ -44,23 +49,22 @@ class QueryResult:
         #: time series) of this execution, or None when live telemetry
         #: was off (the default).
         self.telemetry = telemetry
-        #: The :class:`repro.obs.feedback.StageProfiler` that collected
-        #: per-machine actual stage cardinalities, or None when profile
-        #: collection was off (the default).
-        self.profiler = profiler
+        #: One :class:`~repro.obs.feedback.MachineStageProfile` per
+        #: machine (the per-machine split of ``stage_profile``), or None
+        #: for results that did not run as one distributed plan
+        #: (baselines, quantified-path unions).
+        self.machine_profiles = machine_profiles
         self._execution_profile = None
 
     def execution_profile(self):
         """The plan-vs-actual :class:`~repro.obs.feedback.
         ExecutionProfile` (built once, on first use), or None when the
-        run collected no profile."""
-        if self.profiler is None or self.plan is None:
+        result has no per-machine profiles."""
+        if self.machine_profiles is None or self.plan is None:
             return None
         if self._execution_profile is None:
-            from repro.obs.feedback import build_execution_profile
-
             self._execution_profile = build_execution_profile(
-                self.plan, self.profiler
+                self.plan, self.stage_profile, self.machine_profiles
             )
         return self._execution_profile
 
@@ -95,7 +99,7 @@ class QueryResult:
         for stage, counters in zip(self.plan.stages, self.stage_profile):
             line = (
                 "Stage %d (%s, %s)  visits=%d  passes=%d  remote_in=%d  "
-                "hop=%s"
+                "hop=%s  scanned=%d  emitted=%d"
                 % (
                     stage.index,
                     stage.var,
@@ -104,14 +108,10 @@ class QueryResult:
                     counters["passes"],
                     counters["remote_in"],
                     stage.hop.kind.value,
+                    counters["scanned"],
+                    counters["emitted"],
                 )
             )
-            if exec_profile is not None \
-                    and stage.index < len(exec_profile.stages):
-                totals = exec_profile.stages[stage.index]
-                line += "  scanned=%d  emitted=%d" % (
-                    totals["scanned"], totals["emitted"]
-                )
             if profile is not None:
                 stats = profile.stage_stats(stage.index)
                 completed = stats["completed_at"]
@@ -235,17 +235,20 @@ class PgxdAsyncEngine(Engine):
             self._service = QueryService(self, service_config)
         return self._service
 
-    def execute_plan(self, plan, context=None, tracer=None, deadline=None,
-                     telemetry=None):
+    def execute_plan(self, plan, context=None):
         """Step iv: run a compiled plan on the simulated cluster.
 
         *context* carries the cross-cutting execution state (tracer,
         telemetry, deadline, query_id); see :class:`~repro.context.
-        ExecutionContext`.  The ``tracer=`` / ``deadline=`` /
-        ``telemetry=`` keywords are deprecated shims folded into the
-        context for existing call sites.
+        ExecutionContext`.
         """
-        context = _coerce_context(context, tracer, deadline, telemetry)
+        if context is None:
+            context = ExecutionContext()
+        elif not isinstance(context, ExecutionContext):
+            raise TypeError(
+                "execute_plan expects an ExecutionContext, got %r"
+                % (context,)
+            )
         simulator, machines = self.prepare_execution(plan, context)
         metrics = simulator.run()
         return self.finalize_execution(plan, machines, metrics, context)
@@ -274,13 +277,8 @@ class PgxdAsyncEngine(Engine):
         simulator.query_id = context.query_id
         if context.deadline is not None:
             simulator.deadline = context.deadline
-        profiler = context.profiler
-        machines = []
-        for machine_id in range(config.num_machines):
-            profile_view = None
-            if profiler is not None:
-                profile_view = profiler.machine(machine_id, plan.num_stages)
-            machines.append(QueryMachine(
+        machines = [
+            QueryMachine(
                 plan,
                 self.dist_graph,
                 machine_id,
@@ -289,18 +287,19 @@ class PgxdAsyncEngine(Engine):
                 debug_checks=self.debug_checks,
                 tracer=tracer,
                 telemetry=telemetry,
-                profiler=profile_view,
-            ))
+            )
+            for machine_id in range(config.num_machines)
+        ]
         simulator.attach(machines)
         return simulator, machines
 
     def finalize_execution(self, plan, machines, metrics, context):
         """Merge per-machine state into the :class:`QueryResult`."""
+        machine_profiles = [MachineStageProfile.snapshot(m) for m in machines]
         stage_profile = [
             {
-                "visits": sum(m.stage_visits[i] for m in machines),
-                "passes": sum(m.stage_passes[i] for m in machines),
-                "remote_in": sum(m.stage_remote_in[i] for m in machines),
+                name: sum(getattr(p, name)[i] for p in machine_profiles)
+                for name in MachineStageProfile.COUNTERS
             }
             for i in range(plan.num_stages)
         ]
@@ -320,41 +319,14 @@ class PgxdAsyncEngine(Engine):
                 plan.query.vertex_vars(),
                 plan.query.edge_vars(),
             )
-        profiler = context.profiler
-        if profiler is not None:
-            profiler.absorb(machines)
-            if context.telemetry is not None:
-                from repro.obs.feedback import (
-                    build_execution_profile,
-                    publish_drift,
-                )
-
-                publish_drift(context.telemetry,
-                              build_execution_profile(plan, profiler))
-        return QueryResult(result_set, metrics, plan,
-                           stage_profile=stage_profile,
-                           trace=context.tracer,
-                           telemetry=context.telemetry,
-                           profiler=profiler)
-
-
-def _coerce_context(context, tracer, deadline, telemetry):
-    """Fold the deprecated per-kwarg threading into one context."""
-    if context is not None and not isinstance(context, ExecutionContext):
-        raise TypeError(
-            "execute_plan expects an ExecutionContext, got %r — pass "
-            "tracer=/deadline=/telemetry= by keyword (deprecated) or "
-            "build an ExecutionContext" % (context,)
-        )
-    if context is None:
-        context = ExecutionContext()
-    if tracer is not None:
-        context = context.replace(tracer=tracer)
-    if deadline is not None:
-        context = context.replace(deadline=deadline)
-    if telemetry is not None:
-        context = context.replace(telemetry=telemetry)
-    return context
+        result = QueryResult(result_set, metrics, plan,
+                             stage_profile=stage_profile,
+                             trace=context.tracer,
+                             telemetry=context.telemetry,
+                             machine_profiles=machine_profiles)
+        if context.telemetry is not None:
+            publish_drift(context.telemetry, result.execution_profile())
+        return result
 
 
 def execute_union(query, options, run_one):
@@ -433,21 +405,10 @@ def execute_union(query, options, run_one):
                 for key, value in entry.items():
                     slot[key] = slot.get(key, 0) + value
 
-    decorated = [(row[visible:], row[:visible]) for row in all_rows]
-    if query.distinct:
-        seen = set()
-        unique = []
-        for key, row in decorated:
-            if row in seen:
-                continue
-            seen.add(row)
-            unique.append((key, row))
-        decorated = unique
-    if hidden_order:
-        _sort_decorated(decorated, hidden_order)
-    rows = [row for _key, row in decorated]
-    if query.limit is not None:
-        rows = rows[: query.limit]
+    rows = arrange_rows(
+        [(row[visible:], row[:visible]) for row in all_rows],
+        query.distinct, hidden_order, query.limit,
+    )
     return QueryResult(ResultSet(columns, rows), combined, plan,
                        stage_profile=stage_profile, trace=merged_trace,
                        telemetry=merged_telemetry)

@@ -118,32 +118,27 @@ class PlanKernels:
         return run_bulk(rt, comp, budget, self.stage_kernels)
 
 
-def compile_plan_kernels(plan, profiled=False):
+def compile_plan_kernels(plan):
     """Build one kernel per stage of *plan* (at plan-finalize time).
 
-    NEIGHBOR and OUTPUT stages — the hot path — get textually generated
-    specialized kernels; the remaining hop kinds run their existing
-    cursors through a generic batched driver with identical semantics.
-
-    With ``profiled=True`` the generated kernels additionally maintain
-    the per-machine ``scanned``/``emitted`` profile counters
-    (``repro.obs.feedback``) at exactly the points the hop cursors do.
-    The default variant contains literally no profiling instructions, so
-    profiling off costs nothing on the kernel fast path; machines pick
-    the variant from whether a profiler view is attached.
+    NEIGHBOR, VERTEX and OUTPUT stages — the hot path — get textually
+    generated specialized kernels; the remaining hop kinds run their
+    existing cursors through a generic batched driver with identical
+    semantics.  A finished run leaves the same per-stage ``scanned`` and
+    local/remote emission counters as the hop cursors; the generated
+    kernels charge ``scanned`` per run where the cursors charge it per
+    neighbor.
     """
     kernels = []
     for stage in plan.stages:
         kind = stage.hop.kind
         if kind is HopKind.NEIGHBOR:
-            kernels.append(_compile_neighbor_kernel(plan, stage, profiled))
+            kernels.append(_compile_neighbor_kernel(plan, stage))
         elif kind is HopKind.VERTEX:
-            kernels.append(_compile_vertex_kernel(plan, stage, profiled))
+            kernels.append(_compile_vertex_kernel(plan, stage))
         elif kind is HopKind.OUTPUT:
-            kernels.append(_compile_output_kernel(plan, stage, profiled))
+            kernels.append(_compile_output_kernel(plan, stage))
         else:
-            # Cursor-driven stages carry their own (guarded)
-            # instrumentation; one generic kernel serves both variants.
             kernels.append(_generic_kernel(stage))
     return PlanKernels(kernels)
 
@@ -385,13 +380,16 @@ def _finish_kernel(lines, ns, stage):
     return kernel
 
 
-def _compile_neighbor_kernel(plan, stage, profiled=False):
+def _compile_neighbor_kernel(plan, stage):
     """Generate the specialized NEIGHBOR kernel for *stage*.
 
     The adjacency run is walked over the graph's flat python-list CSR
     (converted once per graph) between absolute ``pos``/``end`` bounds;
     remote continuations go through batch reservations with a
     ``rt.route`` fallback whose refusal point matches the cursor path.
+    The cursor counts one ``scanned`` per inspected neighbor, replays
+    of BLOCKED attempts included; the kernel charges the whole run once
+    when it starts plus one per BLOCKED exit, which sums the same.
     """
     graph = plan.graph
     hop = stage.hop
@@ -429,6 +427,7 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     w.append("            rt.local.out_edges(vertex)"
              "  # raises RemoteAccessError")
     w.append("        state = _RunState(OFF[vertex], OFF[vertex + 1])")
+    w.append("        rt.stage_scanned[%d] += state.end - state.pos" % s)
     w.append("        frame.cursor = state")
     w.append("        frame.phase = 1")
     w.append("        if ops >= budget:")
@@ -445,6 +444,7 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     # Per-invocation prebinds, amortized over the whole adjacency run.
     w.append("    mid = rt.machine_id")
     w.append("    owners = rt.owner_list")
+    w.append("    local_in = rt.stage_local_in")
     w.append("    remote_in = rt.stage_remote_in")
     w.append("    local_q = rt._local_inbox[%d]" % s_next)
     w.append("    cap = rt._local_share_cap")
@@ -458,11 +458,6 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     # Flushed buffers are emptied in place, never replaced, so a list
     # looked up once stays the live (stage, dest) buffer all run long.
     w.append("    bufs = {}")
-    if profiled:
-        # Profiled variant only: the machine installs these kernels iff
-        # a profiler view is attached, so no None guard is needed here.
-        w.append("    PSC = rt.profiler.scanned")
-        w.append("    PEM = rt.profiler.emitted")
     w.append("    while True:")
     w.append("        if pos >= end:")
     w.append("            ops += %d" % wc_h)
@@ -475,10 +470,6 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     w.append("        eid = EIDS[pos]")
     w.append("        pos += 1")
     w.append("        ops += %d" % wc_h)
-    if profiled:
-        # Same counting point as _NeighborCursor.advance: every neighbor
-        # inspected, blocked-then-replayed attempts included.
-        w.append("        PSC[%d] += 1" % s)
     cond = _edge_accept_condition(hop, ns)
     if cond:
         w.append("        if %s:" % cond)
@@ -489,9 +480,8 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     w.append(body_ind + "out_ctx = %s" % out_ctx)
     w.append(body_ind + "dest = owners[target]")
     w.append(body_ind + "if dest == mid:")
-    if profiled:
-        # route() counts an emission on either local delivery form.
-        w.append(body_ind + "    PEM[%d] += 1" % s)
+    # route() counts a local emission on either delivery form.
+    w.append(body_ind + "    local_in[%d] += 1" % s_next)
     w.append(body_ind + "    if len(local_q) < cap:")
     w.append(body_ind + "        local_q.append(out_ctx)")
     w.append(body_ind + "        SL[%d] += 1" % s_next)
@@ -535,16 +525,14 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     w.append(body_ind + "        if cbc > M.peak_buffered_contexts:")
     w.append(body_ind + "            M.peak_buffered_contexts = cbc")
     w.append(body_ind + "        remote_in[%d] += 1" % s_next)
-    if profiled:
-        w.append(body_ind + "        PEM[%d] += 1" % s)
     w.append(body_ind + "        if len(buf) >= bulk:")
     w.append(body_ind + "            flush(%d, dest, buf)" % s_next)
-    w.append(body_ind + "    elif rt.route(comp, %d, dest, out_ctx):"
+    # route() charges remote_in itself when it admits the context.
+    w.append(body_ind + "    elif not rt.route(comp, %d, dest, out_ctx):"
              % s_next)
-    w.append(body_ind + "        remote_in[%d] += 1" % s_next)
-    w.append(body_ind + "    else:")
     w.append(body_ind + "        state.pos = pos - 1"
              "  # replay this neighbor on resume")
+    w.append(body_ind + "        rt.stage_scanned[%d] += 1" % s)
     w.append(body_ind + "        if resv: rt.end_batch(%d, resv)" % s_next)
     w.append(body_ind + "        return ops, K_BLOCKED")
     w.append("        if ops >= budget:")
@@ -554,7 +542,7 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     return _finish_kernel(w, ns, stage)
 
 
-def _compile_vertex_kernel(plan, stage, profiled=False):
+def _compile_vertex_kernel(plan, stage):
     """Generate the specialized VERTEX kernel for *stage*.
 
     Mirrors ``_VertexCursor``: without an edge requirement the hop is
@@ -563,6 +551,8 @@ def _compile_vertex_kernel(plan, stage, profiled=False):
     Parallel-edge runs are tiny, so emission goes through ``rt.route``
     (identical refusal points by construction) — the saving here is the
     cursor object, the enum compares, and the per-advance re-reads.
+    ``scanned`` is charged like the NEIGHBOR kernel's: the whole edge
+    run up front plus one per BLOCKED replay.
     """
     hop = stage.hop
     s_next = stage.index + 1
@@ -584,12 +574,14 @@ def _compile_vertex_kernel(plan, stage, profiled=False):
     w.append("    if frame.phase == 0:")
     _emit_vertex_function(stage, plan.graph, ns, w, "        ")
     w.append("        frame.phase = 1")
-    if hop.edge_req_orientation == "current_to_target":
-        w.append("        frame.cursor = _EdgeRun(rt.local.edges_between("
-                 "vertex, ctx[%d]))" % hop.target_slot)
-    elif hop.edge_req_orientation is not None:
-        w.append("        frame.cursor = _EdgeRun(rt.local.in_edges_from("
-                 "vertex, ctx[%d]))" % hop.target_slot)
+    if hop.edge_req_orientation is not None:
+        lookup = ("edges_between"
+                  if hop.edge_req_orientation == "current_to_target"
+                  else "in_edges_from")
+        w.append("        frame.cursor = _EdgeRun(rt.local.%s("
+                 "vertex, ctx[%d]))" % (lookup, hop.target_slot))
+        w.append("        rt.stage_scanned[%d] += frame.cursor.end"
+                 % stage.index)
     w.append("        if ops >= budget:")
     w.append("            return ops, K_BUDGET")
     w.append("    stack = comp.stack")
@@ -617,8 +609,6 @@ def _compile_vertex_kernel(plan, stage, profiled=False):
     w.append("    pos = state.pos")
     w.append("    end = state.end")
     w.append("    dest = rt.owner_list[ctx[%d]]" % hop.target_slot)
-    if profiled:
-        w.append("    PSC = rt.profiler.scanned")
     w.append("    while True:")
     w.append("        if pos >= end:")
     w.append("            ops += %d" % wc_h)
@@ -629,10 +619,6 @@ def _compile_vertex_kernel(plan, stage, profiled=False):
     w.append("        eid = eids[pos]")
     w.append("        pos += 1")
     w.append("        ops += %d" % wc_h)
-    if profiled:
-        # Same counting point as _VertexCursor.advance (edge-checked
-        # form); the pure-inspection form scans nothing on either path.
-        w.append("        PSC[%d] += 1" % stage.index)
     cond = _edge_accept_condition(hop, ns)
     if cond:
         w.append("        if %s:" % cond)
@@ -643,6 +629,7 @@ def _compile_vertex_kernel(plan, stage, profiled=False):
     w.append(body_ind + "if not rt.route(comp, %d, dest, out_ctx):" % s_next)
     w.append(body_ind + "    state.pos = pos - 1"
              "  # replay this edge on resume")
+    w.append(body_ind + "    rt.stage_scanned[%d] += 1" % stage.index)
     w.append(body_ind + "    return ops, K_BLOCKED")
     w.append(body_ind + "if stack[-1] is not frame:")
     w.append(body_ind + "    state.pos = pos")
@@ -655,7 +642,7 @@ def _compile_vertex_kernel(plan, stage, profiled=False):
     return _finish_kernel(w, ns, stage)
 
 
-def _compile_output_kernel(plan, stage, profiled=False):
+def _compile_output_kernel(plan, stage):
     """Generate the specialized OUTPUT kernel for *stage*.
 
     Two charged steps after the vertex function — emit, then the
@@ -685,8 +672,6 @@ def _compile_output_kernel(plan, stage, profiled=False):
     # Inline emit_result (machine.py): collector, counter, trace event.
     w.append("        rt.collector.add(ctx)")
     w.append("        M.results_emitted += 1")
-    if profiled:
-        w.append("        rt.profiler.emitted[-1] += 1")
     w.append("        trace = rt.trace")
     w.append("        if trace is not None:")
     w.append("            trace.emit(ResultEmitted(rt.api.now, "

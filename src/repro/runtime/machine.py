@@ -47,8 +47,7 @@ class QueryMachine:
     """One simulated machine executing its share of a query."""
 
     def __init__(self, plan, dist_graph, machine_id, api, config,
-                 debug_checks=False, tracer=None, telemetry=None,
-                 profiler=None):
+                 debug_checks=False, tracer=None, telemetry=None):
         self.plan = plan
         self.graph = plan.graph
         self.local = dist_graph.local(machine_id)
@@ -77,10 +76,6 @@ class QueryMachine:
         #: Optional repro.obs.Telemetry shared by every machine; None
         #: (the default) costs the same single pointer comparison.
         self.telemetry = telemetry
-        #: Optional per-machine MachineStageProfile view (plan-vs-actual
-        #: profiling, ``repro.obs.feedback``); None keeps every counting
-        #: site behind the same single pointer comparison.
-        self.profiler = profiler
 
         num_stages = plan.num_stages
         num_machines = config.num_machines
@@ -112,9 +107,14 @@ class QueryMachine:
         self.stage_load = [0] * num_stages
         #: Per-stage profile counters (EXPLAIN ANALYZE): contexts that
         #: entered each stage's vertex function, how many passed its
-        #: checks, and how many contexts were shipped remotely to it.
+        #: checks, neighbor candidates / edge ids its hop scanned, and
+        #: the context weight this machine routed into it locally and
+        #: remotely (both attributed at the sender, so stage s emitted
+        #: ``stage_local_in[s + 1] + stage_remote_in[s + 1]``).
         self.stage_visits = [0] * num_stages
         self.stage_passes = [0] * num_stages
+        self.stage_scanned = [0] * num_stages
+        self.stage_local_in = [0] * num_stages
         self.stage_remote_in = [0] * num_stages
         #: Intra-machine work sharing (paper §1/§3.3: computations
         #: "submitted internally to facilitate work-sharing"): a bounded
@@ -137,7 +137,7 @@ class QueryMachine:
         #: run the micro-stepped cursor path.  Blocking mode always uses
         #: cursors: ABL4 is precisely about per-message synchrony.
         if config.bulk_kernels and not config.blocking_remote:
-            self.kernels = plan.bulk_kernels(profiled=profiler is not None)
+            self.kernels = plan.bulk_kernels()
         else:
             self.kernels = None
 
@@ -347,8 +347,6 @@ class QueryMachine:
     def emit_result(self, ctx):
         self.collector.add(ctx)
         self.metrics.results_emitted += 1
-        if self.profiler is not None:
-            self.profiler.emitted[-1] += 1
         if self.trace is not None:
             self.trace.emit(ResultEmitted(self.api.now, self.machine_id))
 
@@ -413,22 +411,15 @@ class QueryMachine:
                 self.metrics.buffered_delta(_item_weight(item))
             else:
                 self.push_frame(comp, frame_for_item(self, stage_index, item))
-            if self.profiler is not None:
-                self.profiler.emitted[stage_index - 1] += _item_weight(item)
+            self.stage_local_in[stage_index] += _item_weight(item)
             return True
         if self.config.blocking_remote:
             if self._route_blocking(stage_index, dest, item):
                 self.stage_remote_in[stage_index] += _item_weight(item)
-                if self.profiler is not None:
-                    self.profiler.emitted[stage_index - 1] += (
-                        _item_weight(item)
-                    )
                 return True
             return False
         if self._enqueue(stage_index, dest, item):
             self.stage_remote_in[stage_index] += _item_weight(item)
-            if self.profiler is not None:
-                self.profiler.emitted[stage_index - 1] += _item_weight(item)
             return True
         self.last_refused = (stage_index, dest)
         self.metrics.flow_control_blocks += 1

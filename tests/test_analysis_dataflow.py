@@ -594,8 +594,7 @@ class TestKernelAuditCrossCheck:
             "repro/runtime/machine.py": """\
                 class Machine:
                     def route(self, comp, stage, dest, ctx):
-                        if self.profiler is not None:
-                            self.profiler.rerouted[stage] += 1
+                        self.stage_rerouted[stage] += 1
                         return True
                 """,
         })
@@ -611,8 +610,8 @@ class TestKernelAuditCrossCheck:
             "repro/runtime/machine.py": """\
                 class Machine:
                     def route(self, comp, stage, dest, ctx):
-                        if self.profiler is not None:
-                            self.profiler.emitted[stage] += 1
+                        self.stage_local_in[stage] += 1
+                        self.stage_load[stage] += 1
                         return True
                 """,
         })

@@ -407,11 +407,11 @@ class TestTrafficCommand:
 class TestStatsCommand:
     def test_stats_args(self):
         args = build_parser().parse_args(
-            ["stats", "--bsbm", "100", "--top", "3", "--json"]
+            ["stats", "--bsbm", "100", "--top", "3", "--format", "json"]
         )
         assert args.command == "stats"
         assert args.top == 3
-        assert args.json
+        assert args.format == "json"
 
     def test_stats_table(self, capsys):
         code = main(["stats", "--random", "80x320", "--top", "2"])
@@ -423,7 +423,7 @@ class TestStatsCommand:
     def test_stats_json(self, capsys):
         import json as json_mod
 
-        code = main(["stats", "--random", "80x320", "--json"])
+        code = main(["stats", "--random", "80x320", "--format", "json"])
         assert code == 0
         doc = json_mod.loads(capsys.readouterr().out)
         assert doc["num_vertices"] == 80

@@ -13,12 +13,19 @@ from repro import (
     available_engines,
 )
 from repro.engine_api import QueryHandle, QueryStatus
-from repro.errors import QueryAborted
+from repro.errors import PlanError, QueryAborted
+from repro.graph import GraphBuilder
 from repro.runtime.engine import QueryResult
 
 ALL_ENGINES = [PgxdAsyncEngine, SharedMemoryEngine, BftEngine, JoinEngine]
 
 QUERY = "SELECT a, b WHERE (a)-[]->(b), a.value > b.value"
+
+#: Result modifiers over the 3-vertex graph 0->1, 2->1, 1->2.
+MODIFIER_QUERIES = [
+    "SELECT DISTINCT b WHERE (a)-[]->(b)",
+    "SELECT a, b WHERE (a)-[]->(b) ORDER BY b DESC, a LIMIT 2",
+]
 
 
 def _make(cls, graph):
@@ -71,6 +78,26 @@ class TestEngineProtocol:
                           .query(query).rows)
         result = _make(cls, random_graph).query(query)
         assert sorted(result.rows) == expected
+
+
+    @pytest.mark.parametrize("query", MODIFIER_QUERIES)
+    @pytest.mark.parametrize("cls", ALL_ENGINES)
+    def test_result_modifiers_honoured_or_rejected(self, cls, query):
+        builder = GraphBuilder()
+        for _ in range(3):
+            builder.add_vertex()
+        for src, dst in ((0, 1), (2, 1), (1, 2)):
+            builder.add_edge(src, dst)
+        graph = builder.build()
+        expected = _make(SharedMemoryEngine, graph).query(query).rows
+        try:
+            rows = _make(cls, graph).query(query).rows
+        except PlanError:
+            return  # a typed rejection is the other acceptable outcome
+        if "ORDER BY" in query:
+            assert rows == expected
+        else:
+            assert sorted(rows) == sorted(expected)
 
 
 class TestSubmit:

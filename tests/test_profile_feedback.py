@@ -1,14 +1,17 @@
-"""Plan-vs-actual observability: the stage profiler, the execution
-profile (drift + skew), the planner feedback store, and the Prometheus
-round-trip for hostile label payloads.
+"""Plan-vs-actual observability: the per-machine stage profiles, the
+execution profile (drift + skew), the planner feedback store, and the
+Prometheus round-trip for hostile label payloads.
 
-The load-bearing property: the profiler's guarded counters
-(``scanned`` / ``emitted``) and the absorbed unconditional counters
-(``visits`` / ``passes`` / ``remote_in``) must sum across machines to
-the same totals whichever execution path ran — compiled bulk kernels,
-micro-stepped cursors, or a chaotic network behind the reliability
-layer.
+The load-bearing property: the always-on stage counters (``visits`` /
+``passes`` / ``remote_in`` / ``scanned`` / ``emitted``) must sum across
+machines to the same totals whichever execution path ran — compiled
+bulk kernels, micro-stepped cursors, or a chaotic network behind the
+reliability layer.
 """
+
+import json
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +27,11 @@ from repro.obs import (
     q_error,
     query_fingerprint,
 )
-from repro.obs.feedback import CORRECTION_MAX, CORRECTION_MIN
+from repro.obs.feedback import (
+    CORRECTION_MAX,
+    CORRECTION_MIN,
+    FEEDBACK_SCHEMA,
+)
 from repro.plan import SchedulingPolicy
 from repro.runtime import PgxdAsyncEngine
 from repro.workloads.skewed import skewed_workload
@@ -36,9 +43,6 @@ QUERY_POOL = [
     "SELECT a, COUNT(*) WHERE (a)-[]->(b) GROUP BY a",
 ]
 
-PROFILE = PlannerOptions(profile=True)
-
-
 def profiled_run(query, machines=3, seed=2, bulk_kernels=True, chaos=None):
     graph = uniform_random_graph(80, 360, seed=seed, num_types=4)
     config = ClusterConfig(
@@ -47,7 +51,7 @@ def profiled_run(query, machines=3, seed=2, bulk_kernels=True, chaos=None):
         chaos=chaos,
         reliability=chaos is not None,
     )
-    return run_query(graph, query, config, options=PROFILE)
+    return run_query(graph, query, config)
 
 
 def rows_exact(query):
@@ -66,14 +70,16 @@ def rows_exact(query):
 
 def check_invariants(result):
     """The cross-machine sums must agree with the engine's own books."""
-    totals = result.profiler.stage_totals()
+    totals = result.stage_profile
     assert len(totals) == result.plan.num_stages
-    # visits/passes/remote_in are absorbed from the unconditional stage
-    # counters, so the profiler must reproduce stage_profile exactly.
-    for entry, expected in zip(totals, result.stage_profile):
-        assert entry["visits"] == expected["visits"]
-        assert entry["passes"] == expected["passes"]
-        assert entry["remote_in"] == expected["remote_in"]
+    # stage_profile is the across-machine sum of the per-machine
+    # profiles, counter for counter.
+    for index, entry in enumerate(totals):
+        for name, value in entry.items():
+            assert value == sum(
+                getattr(view, name)[index]
+                for view in result.machine_profiles
+            )
     # emitted[s] is the continuation weight stage s produced — exactly
     # the contexts entering stage s+1 — and the output stage emits one
     # row per passing context (aggregation collapses rows *after*
@@ -112,9 +118,9 @@ class TestStageProfilerProperties:
     def test_kernels_and_cursors_profile_identically(self, seed, query):
         fast = profiled_run(query, seed=seed, bulk_kernels=True)
         slow = profiled_run(query, seed=seed, bulk_kernels=False)
-        assert fast.profiler.stage_totals() == slow.profiler.stage_totals()
-        assert [v.to_dict() for v in fast.profiler.views()] \
-            == [v.to_dict() for v in slow.profiler.views()]
+        assert fast.stage_profile == slow.stage_profile
+        assert [v.to_dict() for v in fast.machine_profiles] \
+            == [v.to_dict() for v in slow.machine_profiles]
 
     def test_profile_survives_chaos(self):
         clean = profiled_run(QUERY_POOL[2], machines=4)
@@ -126,25 +132,32 @@ class TestStageProfilerProperties:
         totals = check_invariants(chaotic)
         assert totals[-1]["emitted"] == len(clean.rows)
 
-    def test_profiling_off_by_default(self):
+    def test_profile_collected_by_default(self):
         graph = uniform_random_graph(60, 240, seed=3, num_types=4)
         result = run_query(graph, QUERY_POOL[0],
                            ClusterConfig(num_machines=2))
-        assert result.profiler is None
-        assert result.execution_profile() is None
-        # The public stage_profile shape is pinned: profiling extras
-        # (scanned/emitted) live on the profiler only.
+        profile = result.execution_profile()
+        assert profile is not None
+        assert profile.stages == result.stage_profile
+        assert [view.machine_id for view in result.machine_profiles] \
+            == [0, 1]
         for entry in result.stage_profile:
-            assert set(entry) == {"visits", "passes", "remote_in"}
+            assert set(entry) == {"visits", "passes", "remote_in",
+                                  "scanned", "emitted"}
 
     def test_profiling_never_perturbs_the_simulation(self):
+        # Telemetry on also builds the execution profile at finalize and
+        # publishes its drift gauges; the simulation must not notice.
         graph = uniform_random_graph(80, 360, seed=4, num_types=4)
         config = ClusterConfig(num_machines=3)
         baseline = run_query(graph, QUERY_POOL[2], config)
-        profiled = run_query(graph, QUERY_POOL[2], config, options=PROFILE)
-        assert profiled.metrics.ticks == baseline.metrics.ticks
-        assert profiled.metrics.total_ops == baseline.metrics.total_ops
-        assert sorted(profiled.rows) == sorted(baseline.rows)
+        published = run_query(graph, QUERY_POOL[2], config,
+                              options=PlannerOptions(telemetry=True))
+        assert published.metrics.ticks == baseline.metrics.ticks
+        assert published.metrics.total_ops == baseline.metrics.total_ops
+        assert sorted(published.rows) == sorted(baseline.rows)
+        assert published.stage_profile == baseline.stage_profile
+        assert "repro_stage_skew_ratio" in published.telemetry.prometheus()
 
 
 class TestExecutionProfile:
@@ -156,7 +169,7 @@ class TestExecutionProfile:
         )
         engine = PgxdAsyncEngine(graph, config)
         options = options or PlannerOptions(
-            scheduling=SchedulingPolicy.COST, profile=True
+            scheduling=SchedulingPolicy.COST
         )
         return graph, queries, [
             engine.query(query, options) for query in queries
@@ -195,7 +208,7 @@ class TestExecutionProfile:
         engine = PgxdAsyncEngine(graph, config)
         result = engine.query(
             queries[0],
-            PlannerOptions(scheduling=SchedulingPolicy.COST, profile=True,
+            PlannerOptions(scheduling=SchedulingPolicy.COST,
                            telemetry=True),
         )
         text = result.telemetry.prometheus()
@@ -218,8 +231,7 @@ class TestFeedbackStore:
         )
         engine = PgxdAsyncEngine(graph, config)
         store = FeedbackStore()
-        options = PlannerOptions(scheduling=SchedulingPolicy.COST,
-                                 profile=True)
+        options = PlannerOptions(scheduling=SchedulingPolicy.COST)
         results = []
         for query in queries:
             result = engine.query(query, options)
@@ -266,6 +278,23 @@ class TestFeedbackStore:
             assert rerun.metrics.total_ops <= baseline.metrics.total_ops
             assert rerun.metrics.work_messages \
                 <= baseline.metrics.work_messages
+
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"schema": FEEDBACK_SCHEMA, "queries": []},
+        {"schema": FEEDBACK_SCHEMA, "queries": "q"},
+    ])
+    def test_load_rejects_malformed_document(self, tmp_path, doc):
+        path = tmp_path / "feedback.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="feedback.json"):
+            FeedbackStore(str(path))
+
+    def test_load_rejects_truncated_json(self, tmp_path):
+        path = tmp_path / "feedback.json"
+        path.write_text('{"schema": "%s", "queries": {' % FEEDBACK_SCHEMA)
+        with pytest.raises(ValueError):
+            FeedbackStore(str(path))
 
     def test_fingerprint_scoped_by_graph_shape(self):
         small = uniform_random_graph(10, 20, seed=1, num_types=2)

@@ -16,7 +16,8 @@ class TestStageProfile:
         _graph, result = self.query()
         assert len(result.stage_profile) == result.plan.num_stages
         for entry in result.stage_profile:
-            assert set(entry) == {"visits", "passes", "remote_in"}
+            assert set(entry) == {"visits", "passes", "remote_in",
+                                  "scanned", "emitted"}
 
     def test_root_visits_every_vertex(self):
         graph, result = self.query()
