@@ -77,13 +77,24 @@ def load_baseline(path):
     """Parse and validate a baseline file into entries."""
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
+    if not isinstance(document, dict) or not isinstance(
+        document.get("entries", []), list
+    ):
+        raise AnalysisError(
+            "baseline %s must be a JSON object with an 'entries' list"
+            % path
+        )
     if document.get("schema") != SCHEMA:
         raise AnalysisError(
             "unsupported baseline schema %r in %s (expected %r)"
             % (document.get("schema"), path, SCHEMA)
         )
     entries = []
-    for raw in document.get("entries", ()):
+    for raw in document.get("entries", []):
+        if not isinstance(raw, dict):
+            raise AnalysisError(
+                "baseline %s: entry %r must be an object" % (path, raw)
+            )
         missing = [key for key in _REQUIRED if not raw.get(key)]
         if missing:
             raise AnalysisError(

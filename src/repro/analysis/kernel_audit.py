@@ -67,12 +67,6 @@ _KERNEL_TRACERISH = frozenset({"trace", "tracer", "telemetry"})
 _AUDIT_CACHE = None
 
 
-def _reset_audit_cache():
-    """Test hook: force the next check to re-run the dynamic audit."""
-    global _AUDIT_CACHE
-    _AUDIT_CACHE = None
-
-
 class KernelCodegenAuditRule(Rule):
     """RPR008: generated kernels charge what the handlers charge."""
 

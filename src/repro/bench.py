@@ -16,10 +16,14 @@ Two design rules keep comparisons honest:
 * the gate judges only deterministic quantities (``ticks``,
   ``total_ops``) that are pure functions of the seed.  Wall time is
   recorded for humans but never gates, so a loaded CI box cannot flake
-  the build.
+  the build.  Each document carries the machine ``fingerprint`` it was
+  recorded on; ``--compare`` prints a wall-time ratio only between two
+  documents with the same fingerprint.
 """
 
 import json
+import os
+import platform
 import time
 
 from repro.cluster.config import ClusterConfig
@@ -259,9 +263,22 @@ def run_bench(tag="run", quick=False, seed=0, progress=None,
         "tag": tag,
         "quick": bool(quick),
         "seed": seed,
+        "fingerprint": machine_fingerprint(),
         "workloads": workloads,
         "totals": totals,
     }
+
+
+def machine_fingerprint():
+    """What wall times depend on besides the code."""
+    cpu = platform.processor() or "unknown"
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo") as handle:
+            models = [line.split(":", 1)[1].strip() for line in handle
+                      if line.startswith("model name")]
+        cpu = models[0] if models else cpu
+    return {"cpu": cpu, "nproc": os.cpu_count(),
+            "python": platform.python_version()}
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +361,9 @@ def compare(current, baseline, threshold=25.0):
     """
     regressions = []
     lines = []
+    # Wall times from different machines say nothing about the code.
+    fingerprint = current.get("fingerprint")
+    same_machine = fingerprint and fingerprint == baseline.get("fingerprint")
     common = sorted(
         set(current["workloads"]) & set(baseline["workloads"])
     )
@@ -370,7 +390,9 @@ def compare(current, baseline, threshold=25.0):
             )
         wall_before = base.get("wall_time_seconds", 0.0)
         wall_after = cur.get("wall_time_seconds", 0.0)
-        if wall_before > 0 and wall_after > 0:
+        if not same_machine:
+            speedup = "  wall not compared (different machine)"
+        elif wall_before > 0 and wall_after > 0:
             speedup = "  x%.2f vs baseline" % (wall_before / wall_after)
         else:
             speedup = ""

@@ -3,7 +3,8 @@
 The simulator owns a set of *machine* objects (anything implementing the
 small :class:`MachineInterface` protocol), the :class:`Network`, and the
 global clock.  On each tick it first delivers due network messages, then
-gives every worker of every machine an operation budget.  The run ends
+gives every worker of every machine an operation budget (one
+``run_workers`` call per machine).  The run ends
 when every machine reports completion and no messages are in flight.
 
 Machines talk to the outside world exclusively through the
@@ -48,6 +49,14 @@ class MachineInterface:
     def worker_step(self, worker_index, budget):
         """Run one worker for up to *budget* micro-ops; return ops used."""
         raise NotImplementedError
+
+    def run_workers(self, workers, budget):
+        """Step each of the *workers* once this tick; return the ops
+        used (0 = idle).  A machine may skip steps it knows are idle."""
+        used = 0
+        for worker_index in range(workers):
+            used += self.worker_step(worker_index, budget)
+        return used
 
     def is_finished(self):
         """True when this machine considers the computation complete."""
@@ -133,6 +142,7 @@ class Simulator:
         self.query_id = None
         self._started = False
         self._timer_machines = []
+        self._runners = []
         self._sampler = None
         self._last_ops = None
 
@@ -289,6 +299,13 @@ class Simulator:
         if not self._machines:
             raise RuntimeFault("no machines attached")
         machines = self._machines
+        # Duck-typed machines without their own run_workers get the
+        # protocol's default loop over worker_step.
+        self._runners = [
+            getattr(machine, "run_workers", None)
+            or MachineInterface.run_workers.__get__(machine)
+            for machine in machines
+        ]
         self._timer_machines = [
             (index, machine)
             for index, machine in enumerate(machines)
@@ -352,13 +369,11 @@ class Simulator:
             machines[envelope.dst].on_message(envelope.src, envelope.payload)
 
         all_idle = True
-        for index, machine in enumerate(machines):
+        for index, run_workers in enumerate(self._runners):
             if chaos is not None and chaos.is_stalled(index, self.now):
                 continue  # compute frozen; the NIC above still ran
-            for worker_index in range(workers):
-                used = machine.worker_step(worker_index, budget)
-                if used:
-                    all_idle = False
+            if run_workers(workers, budget):
+                all_idle = False
 
         if tracer is not None:
             samples = []

@@ -177,9 +177,6 @@ class PropertyGraph:
         index = bisect.bisect_left(run, dst)
         return index < len(run) and run[index] == dst
 
-    def edge_source(self, edge):
-        return int(self._edge_src[edge])
-
     def edge_destination(self, edge):
         return int(self._edge_dst[edge])
 

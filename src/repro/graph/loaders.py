@@ -53,36 +53,65 @@ def save_edge_list(graph, path):
 
 
 def load_json(path):
-    """Load a graph from the JSON format produced by :func:`save_json`."""
+    """Load a graph from the JSON format produced by :func:`save_json`;
+    a malformed document raises :class:`GraphError` naming *path*."""
     with open(path) as handle:
-        data = json.load(handle)
-    return graph_from_dict(data)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise GraphError("%s: not a JSON document: %s" % (path, exc))
+    return graph_from_dict(data, source=path)
 
 
-def graph_from_dict(data):
+def _records(data, field, source):
+    """``data[field]``, checked to be a list of JSON objects."""
+    records = data.get(field, [])
+    if not isinstance(records, list) or not all(
+        isinstance(record, dict) for record in records
+    ):
+        raise GraphError("%s: field %r must be a list of objects"
+                         % (source, field))
+    return records
+
+
+def graph_from_dict(data, source="graph document"):
     """Build a graph from an in-memory dict (``vertices`` / ``edges``).
 
     A ``stats`` key (written by ``save_json(..., include_stats=True)``)
     is deserialized and attached so loaded graphs keep their build-time
-    statistics without recollection.
+    statistics without recollection.  A malformed document raises
+    :class:`~repro.errors.GraphError` naming *source* and the bad field.
     """
+    if not isinstance(data, dict):
+        raise GraphError("%s: expected a JSON object, got %s"
+                         % (source, type(data).__name__))
+    for key in data:
+        if key not in ("vertices", "edges", "stats"):
+            raise GraphError("%s: unknown field %r" % (source, key))
     builder = GraphBuilder()
-    for record in data.get("vertices", []):
+    for record in _records(data, "vertices", source):
         record = dict(record)
         record.pop("id", None)  # ids are positional
         label = record.pop("label", None)
         builder.add_vertex(label=label, **record)
-    for record in data.get("edges", []):
+    for index, record in enumerate(_records(data, "edges", source)):
         record = dict(record)
-        src = record.pop("src")
-        dst = record.pop("dst")
+        src, dst = record.pop("src", None), record.pop("dst", None)
+        if type(src) is not int or type(dst) is not int:
+            raise GraphError("%s: edges[%d] needs integer 'src' and 'dst', "
+                             "got %r, %r" % (source, index, src, dst))
         label = record.pop("label", None)
         builder.add_edge(src, dst, label=label, **record)
     graph = builder.build()
     if "stats" in data:
         from repro.stats import GraphStatistics
 
-        graph.attach_statistics(GraphStatistics.from_dict(data["stats"]))
+        try:
+            stats = GraphStatistics.from_dict(data["stats"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise GraphError("%s: field 'stats' is malformed: %r"
+                             % (source, exc))
+        graph.attach_statistics(stats)
     return graph
 
 

@@ -680,14 +680,6 @@ def _all_conjuncts(query):
     return conjuncts
 
 
-def _new_vertex_var(op):
-    if isinstance(op, (RootVertexMatch, CartesianRootMatch)):
-        return op.var
-    if isinstance(op, (NeighborMatch, CommonNeighborMatch)):
-        return op.dst_var
-    return None
-
-
 def _op_edge_vars(op):
     if isinstance(op, (NeighborMatch, EdgeCheck)):
         return (op.edge_var,)

@@ -45,6 +45,8 @@ precisely about per-message synchronous behavior) and by
 unchanged.
 """
 
+import functools
+
 from repro.errors import RuntimeFault
 from repro.graph.types import Direction, NO_LABEL
 from repro.obs.events import ResultEmitted
@@ -367,12 +369,20 @@ def _out_ctx_expression(hop, ns):
     return "ctx + (%s,)" % ", ".join(parts)
 
 
+@functools.lru_cache(maxsize=512)
+def _compile_source(filename, source):
+    """``compile()`` memoised on the text: repeated queries (the service
+    case) generate the same kernel source and reuse its code object.
+    The graph-bound names are not in the code object; each plan binds
+    them afresh through its own ``exec`` namespace."""
+    return compile(source, filename, "exec")
+
+
 def _finish_kernel(lines, ns, stage):
     source = "\n".join(lines) + "\n"
-    code = compile(
-        source,
+    code = _compile_source(
         "<repro-kernel:stage%d:%s>" % (stage.index, stage.hop.kind.value),
-        "exec",
+        source,
     )
     exec(code, ns)
     kernel = ns["kernel"]

@@ -15,7 +15,6 @@ It owns:
 from collections import deque
 
 from repro.cluster.metrics import MachineMetrics
-from repro.cluster.tasks import CallbackTask, TaskQueue
 from repro.errors import RuntimeFault
 from repro.obs.events import (
     FlowBlock,
@@ -78,6 +77,7 @@ class QueryMachine:
         self.telemetry = telemetry
 
         num_stages = plan.num_stages
+        self._num_stages = num_stages
         num_machines = config.num_machines
         self.flow = FlowControl(
             num_stages,
@@ -160,10 +160,21 @@ class QueryMachine:
         self._acked_seqs = set()
         self._quota_rr = 0
 
-        # The two PGX.D tasks (paper §3.3): bootstrap, then await-completion.
-        self.tasks = TaskQueue()
-        self.tasks.push(CallbackTask("bootstrap", self._poll_bootstrap_task))
-        self.tasks.push(CallbackTask("await-completion", self._poll_await_task))
+        # The two PGX.D tasks (paper §3.3), bootstrap then await-
+        # completion, are one phase flag: workers run the same DOWORK
+        # loop in both.  Each phase ends on a check *after* a worker's
+        # step, so a worker still repays its debt on the final step.
+        self._bootstrapping = True
+        self._finished = False
+        #: Deliveries so far (part of :meth:`_stamp`).
+        self._deliveries = 0
+        #: Set by a pass over the workers that used no ops and left the
+        #: stamp unchanged: it repeats exactly until the next delivery,
+        #: so :meth:`run_workers` skips the passes until then.
+        self._quiescent = False
+        #: Stamps left by the last idle_progress/_attempt_completions.
+        #: Both are idempotent, so an unchanged stamp skips the call.
+        self._idle_stamp = self._completions_stamp = None
 
     # ------------------------------------------------------------------
     # Bootstrap
@@ -196,28 +207,45 @@ class QueryMachine:
         return not self._bootstrap_chunks
 
     # ------------------------------------------------------------------
-    # PGX.D task plumbing (structural; workers drive the same DOWORK)
-    # ------------------------------------------------------------------
-    def _poll_bootstrap_task(self, worker, budget):
-        ops = worker.step(budget)
-        return ops, self.bootstrap_done
-
-    def _poll_await_task(self, worker, budget):
-        ops = worker.step(budget)
-        return ops, self.is_finished()
-
-    # ------------------------------------------------------------------
     # Simulator interface
     # ------------------------------------------------------------------
+    def _stamp(self):
+        """Counters of everything that moves when what a worker step
+        reads can change: inboxes, buffers, windows, stage loads,
+        completion sets and debt only change through a busy step, a
+        send, a stage mark or a delivery."""
+        metrics = self.metrics
+        return (metrics.ops, metrics.work_messages_sent,
+                metrics.control_messages_sent, metrics.cur_buffered_contexts,
+                self._deliveries, self._completions_from)
+
+    def run_workers(self, workers, budget):
+        """Give each of the *workers* one step; returns the ops used.
+
+        A quiescent machine is charged the idle steps in bulk instead.
+        """
+        if self._quiescent:
+            self.metrics.idle_ticks += workers
+            return 0
+        before = self._stamp()
+        used = 0
+        for worker_index in range(workers):
+            used += self.worker_step(worker_index, budget)
+        self._quiescent = not used and before == self._stamp()
+        return used
+
     def worker_step(self, worker_index, budget):
-        worker = self._workers[worker_index]
-        task = self.tasks.head()
-        if task is None:
+        if self._finished:
             self.metrics.idle_ticks += 1
             return 0
         # Worker.step accounts real ops into the metrics itself; the
         # returned value is the time slice consumed (for idleness).
-        used = task.poll(worker, budget)
+        worker = self._workers[worker_index]
+        used = worker.step(budget)
+        if self._bootstrapping:
+            self._bootstrapping = bool(self._bootstrap_chunks)
+        elif self.termination.all_complete():
+            self._finished = True
         if self._sync_wait is not None:
             worker.waiting_for_seq = self._sync_wait
             self._sync_wait = None
@@ -227,6 +255,8 @@ class QueryMachine:
         return used
 
     def on_message(self, src, payload):
+        self._quiescent = False
+        self._deliveries += 1
         if self._reliable:
             # The transport dedups/reorders; only in-order application
             # payloads (possibly several, when a frame fills a gap)
@@ -560,11 +590,16 @@ class QueryMachine:
         the global buffer-creation order — the same sequence the old
         stable sort over ``self._outgoing`` produced.
         """
+        if not self.metrics.cur_buffered_contexts:
+            return 0  # every outgoing buffer is empty
+        if self._stamp() == self._idle_stamp:
+            return 0
         ops = 0
-        for stage in range(self.plan.num_stages - 1, -1, -1):
+        for stage in range(self._num_stages - 1, -1, -1):
             for dest, buffer in self._outgoing_by_stage[stage]:
                 if buffer and self._flush_buffer(stage, dest, buffer):
                     ops += self.config.message_send_cost
+        self._idle_stamp = self._stamp()
         return ops
 
     # ------------------------------------------------------------------
@@ -599,13 +634,17 @@ class QueryMachine:
         # stage n-1 globally complete, which includes our own mark.
         # Start at the cached first-unsent stage instead of rescanning
         # (this runs after every worker step).
-        num_stages = self.plan.num_stages
+        if self._stamp() == self._completions_stamp:
+            return
+        num_stages = self._num_stages
         for stage in range(self._completions_from, num_stages):
             if not self.termination.predecessor_complete(stage):
                 break
-            # Outgoing buffers *from* this stage target stage + 1.
+            # Outgoing buffers *from* this stage target stage + 1; with
+            # nothing buffered anywhere there is nothing to scan.
             outbuf_empty = (
                 stage + 1 >= num_stages
+                or not self.metrics.cur_buffered_contexts
                 or self._outbuf_empty_for(stage + 1)
             )
             if not outbuf_empty:
@@ -631,3 +670,4 @@ class QueryMachine:
                     self.metrics.control_messages_sent += 1
             if self.termination.stage_globally_complete(stage):
                 self.flow.redistribute_completed_stage(stage)
+        self._completions_stamp = self._stamp()

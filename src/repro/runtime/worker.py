@@ -109,14 +109,11 @@ def run_computation(rt, comp, budget):
     DONE once its stack is empty and, for message computations, every
     item has been consumed — at which point the ack has been sent.
 
-    With bulk kernels enabled (``ClusterConfig.bulk_kernels``, the
-    default outside blocking mode) execution delegates to the compiled
-    fast path, which charges identical op counts at identical points;
-    the loop below is the reference micro-stepped semantics.
+    This is the reference micro-stepped semantics.  With bulk kernels
+    enabled (``ClusterConfig.bulk_kernels``, the default outside
+    blocking mode) workers run the compiled fast path instead, which
+    charges identical op counts at identical points.
     """
-    kernels = rt.kernels
-    if kernels is not None:
-        return kernels.run(rt, comp, budget)
     ops = 0
     while True:
         if not comp.stack:
@@ -227,7 +224,7 @@ class Worker:
     def __init__(self, rt, index):
         self.rt = rt
         self.index = index
-        self.slots = [None] * rt.plan.num_stages
+        self.slots = [None] * rt._num_stages
         #: Blocking mode (ABL4): sequence number of the un-acked message
         #: this worker is synchronously waiting for.
         self.waiting_for_seq = None
@@ -286,6 +283,7 @@ class Worker:
         slots = self.slots
         inbox = rt._inbox
         local_inbox = rt._local_inbox
+        kernels = rt.kernels
         for stage_index in range(len(slots) - 1, -1, -1):
             comp = slots[stage_index]
             if comp is None:
@@ -313,7 +311,10 @@ class Worker:
                         rt.api.now, rt.machine_id, stage, dest
                     ))
 
-            ops, status = run_computation(rt, comp, budget)
+            if kernels is not None:
+                ops, status = kernels.run(rt, comp, budget)
+            else:
+                ops, status = run_computation(rt, comp, budget)
             if status is RunStatus.DONE:
                 self.slots[stage_index] = None
             elif status is RunStatus.BLOCKED:

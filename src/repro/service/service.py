@@ -272,14 +272,6 @@ class QueryService:
         """The service-level MetricsRegistry (None unless telemetry on)."""
         return self._registry
 
-    @property
-    def active_scopes(self):
-        return tuple(self._active)
-
-    @property
-    def queued_scopes(self):
-        return tuple(self._queue)
-
     def scope(self, query_id):
         return self._scopes[query_id]
 

@@ -572,6 +572,20 @@ class TestBaseline:
         with pytest.raises(AnalysisError):
             load_baseline(str(baseline_path))
 
+    @pytest.mark.parametrize("document, field", [
+        ([], "list"),
+        ({"schema": "repro-lint-baseline/1", "entries": {}}, "'entries'"),
+        ({"schema": "repro-lint-baseline/1", "entries": ["RPR001"]},
+         "'RPR001'"),
+    ])
+    def test_malformed_document_rejected(self, tmp_path, document, field):
+        baseline_path = tmp_path / "baseline.json"
+        baseline_path.write_text(json.dumps(document))
+        with pytest.raises(AnalysisError) as info:
+            load_baseline(str(baseline_path))
+        assert str(baseline_path) in str(info.value)
+        assert field in str(info.value)
+
     def test_discovery_walks_upward(self, tmp_path):
         root = self._dirty_tree(tmp_path)
         (tmp_path / "lint-baseline.json").write_text(json.dumps({

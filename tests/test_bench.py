@@ -134,6 +134,28 @@ class TestCompare:
         assert regressions == []
         assert not any("extra_only_in_full" in line for line in lines)
 
+    def test_doc_carries_machine_fingerprint(self, quick_doc):
+        fingerprint = quick_doc["fingerprint"]
+        assert set(fingerprint) == {"cpu", "nproc", "python"}
+
+    def test_wall_ratio_only_between_equal_fingerprints(self, quick_doc):
+        _, lines = compare(quick_doc, copy.deepcopy(quick_doc))
+        walls = [line for line in lines if "wall_s" in line]
+        assert walls and all("vs baseline" in line for line in walls)
+
+    def test_wall_not_compared_across_machines(self, quick_doc):
+        other = copy.deepcopy(quick_doc)
+        other["fingerprint"]["cpu"] = "some other processor"
+        unstamped = copy.deepcopy(quick_doc)
+        del unstamped["fingerprint"]  # e.g. BENCH_seed.json
+        for baseline in (other, unstamped):
+            regressions, lines = compare(quick_doc, baseline)
+            walls = [line for line in lines if "wall_s" in line]
+            assert regressions == []
+            assert walls and all("wall not compared" in line
+                                 and "vs baseline" not in line
+                                 for line in walls)
+
     def test_disjoint_docs_flagged(self, quick_doc):
         other = copy.deepcopy(quick_doc)
         other["workloads"] = {

@@ -3,14 +3,11 @@
 import pytest
 
 from repro.cluster import (
-    CallbackTask,
     ClusterConfig,
     MachineMetrics,
     Network,
     QueryMetrics,
     Simulator,
-    TaskQueue,
-    TaskState,
 )
 from repro.errors import ClusterConfigError, RuntimeFault
 
@@ -131,20 +128,6 @@ class TestNetwork:
         network.send(50, 0, 1, "late")
         due = network.deliver_due(50)
         assert [envelope.payload for envelope in due] == ["late"]
-
-
-class TestTaskQueue:
-    def test_head_skips_done(self):
-        queue = TaskQueue()
-        first = CallbackTask("a", lambda worker, budget: (0, True))
-        second = CallbackTask("b", lambda worker, budget: (1, False))
-        queue.push(first)
-        queue.push(second)
-        assert queue.head() is first
-        first.poll(None, 10)
-        assert first.state is TaskState.DONE
-        assert queue.head() is second
-        assert len(queue) == 1
 
 
 class _CountdownMachine:

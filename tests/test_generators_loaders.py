@@ -127,3 +127,42 @@ class TestJsonIO:
         assert len(data["vertices"]) == social_graph.num_vertices
         rebuilt = graph_from_dict(data)
         assert rebuilt.num_edges == social_graph.num_edges
+
+
+class TestHostileJson:
+    """Malformed graph documents fail typed, naming the bad field."""
+
+    @pytest.mark.parametrize("document, field", [
+        ([], "list"),
+        ({"vertices": 3}, "'vertices'"),
+        ({"vertices": [{}], "edges": {"src": 0}}, "'edges'"),
+        ({"vertices": ["v0"]}, "'vertices'"),
+        ({"vertices": [{}, {}], "edges": [{"dst": 1}]}, "'src'"),
+        ({"vertices": [{}, {}], "edges": [{"src": 0, "dst": "1"}]},
+         "'dst'"),
+        ({"num_vertices": "x"}, "'num_vertices'"),
+        ({"stats": 3}, "'stats'"),
+        ({"stats": {}}, "'stats'"),
+    ])
+    def test_graph_from_dict_rejects(self, document, field):
+        with pytest.raises(GraphError) as info:
+            graph_from_dict(document)
+        assert field in str(info.value)
+
+    def test_load_json_names_path_and_field(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text('{"vertices": [{}], "edges": [{"dst": 0}]}')
+        with pytest.raises(GraphError) as info:
+            load_json(path)
+        assert str(path) in str(info.value)
+        assert "edges[0]" in str(info.value)
+
+    def test_load_json_truncated(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text('{"vertices": [')
+        with pytest.raises(GraphError) as info:
+            load_json(path)
+        assert str(path) in str(info.value)
+
+    def test_empty_document_is_empty_graph(self):
+        assert graph_from_dict({}).num_vertices == 0

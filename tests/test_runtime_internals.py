@@ -106,6 +106,35 @@ class TestBulkBuffering:
         assert len(simulator.network) == 1
 
 
+class TestQuiescence:
+    """A machine skips its workers only while a pass would repeat."""
+
+    def test_idle_passes_skipped_until_delivery(self):
+        _, (m0, _m1) = make_machine(workers_per_machine=2)
+        while m0.run_workers(2, 32):
+            pass  # bootstrap until every worker is idle or blocked
+        m0.run_workers(2, 32)  # nothing left that an idle pass could send
+        assert m0._quiescent
+        idle, steps = m0.metrics.idle_ticks, m0.metrics.ops
+        assert m0.run_workers(2, 32) == 0
+        assert m0.metrics.idle_ticks == idle + 2  # skipped, still charged
+        assert m0.metrics.ops == steps
+        m0.on_message(1, Completed(1))
+        assert not m0._quiescent
+
+    def test_pass_that_sends_is_not_quiet(self):
+        # With a zero send cost an idle worker's flush uses no ops; the
+        # pass still changed the machine, so the next one must run.
+        _, (m0, _m1) = make_machine(bulk_message_size=8, message_send_cost=0)
+        m0._bootstrap_chunks.clear()
+        m0.route(Computation(0), 1, 1, (0, 5))
+        assert m0.run_workers(1, 32) == 0
+        assert m0.metrics.work_messages_sent == 1
+        assert not m0._quiescent
+        assert m0.run_workers(1, 32) == 0
+        assert m0._quiescent
+
+
 class TestFrames:
     def test_scan_frame_fields(self):
         frame = ScanFrame(0, (), [1, 2, 3])
