@@ -3,9 +3,10 @@
 Expressions are evaluated against an :class:`EvalEnv`, which resolves
 variable references to matched entities and property reads to values.
 The distributed runtime does not use this tree-walking evaluator on hot
-paths — ``repro.plan.execution`` compiles filters into closures bound to
-context offsets — but the same semantics are defined here once and the
-compiled closures defer to the operator functions below.
+paths — ``repro.plan.execution`` generates one Python function per filter
+conjunction, bound to context offsets — but it is the reference: the
+generated code uses the Python operators of ``_BINARY_OPS`` below and the
+same evaluation order.
 
 Semantics notes:
 
@@ -154,14 +155,6 @@ def apply_binary(op, lhs, rhs):
     if func is None:
         raise PgqlValidationError("unknown binary operator %r" % op)
     return func(lhs, rhs)
-
-
-def binary_op_func(op):
-    """The raw Python callable for *op* (used by the filter compiler)."""
-    func = _BINARY_OPS.get(op)
-    if func is None:
-        raise PgqlValidationError("unknown binary operator %r" % op)
-    return func
 
 
 def referenced_vars(expr):

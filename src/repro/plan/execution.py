@@ -16,13 +16,14 @@ Concretely:
 * **Dependency analysis** walks every expression together with its
   evaluation point (which variables are *directly* accessible there) and
   schedules a capture for each value that some later point needs.
-* Filters are **compiled to closures** ``fn(ctx, vertex, eid)`` over the
-  graph's property columns, so the hot path performs no name resolution.
+* Each stage's filter conjunction is **generated as one Python
+  function** ``predicate(ctx, vertex, eid)`` over the graph's property
+  columns, so the hot path performs no name resolution.
 """
 
 import functools
 
-from repro.errors import PlanError, UnknownPropertyError
+from repro.errors import PgqlValidationError, PlanError, UnknownPropertyError
 from repro.graph.types import Direction
 from repro.pgql.ast import (
     Aggregate,
@@ -35,7 +36,7 @@ from repro.pgql.ast import (
     Unary,
     VarRef,
 )
-from repro.pgql.expressions import EvalEnv, binary_op_func
+from repro.pgql.expressions import EvalEnv, contains_aggregate
 from repro.plan.distributed import Hop, HopKind, Visit, VisitKind
 from repro.plan.options import MatchSemantics, PlannerOptions
 
@@ -177,12 +178,7 @@ class OutputSpec:
             item.alias if item.alias else _default_name(item.expr)
             for item in query.select_items
         ]
-
-    @property
-    def has_aggregates(self):
-        from repro.pgql.expressions import contains_aggregate
-
-        return bool(self.group_by) or any(
+        self.has_aggregates = bool(self.group_by) or any(
             contains_aggregate(item.expr) for item in self.select_items
         )
 
@@ -519,8 +515,30 @@ def _default_name(expr):
 # ----------------------------------------------------------------------
 # Expression compilation
 # ----------------------------------------------------------------------
+#: PGQL binary operators as Python operators (``repro.pgql.expressions``
+#: defines the same semantics for the interpreter).
+_PY_BINARY = {
+    "=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+    "+": "+", "-": "-", "*": "*", "/": "/", "%": "%",
+    "AND": "and", "OR": "or",
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_predicate(source):
+    """``compile()`` of a filter predicate, memoised on its text."""
+    return compile(source, "<repro-predicate>", "exec")
+
+
+def _bind(ns, value):
+    """Bind *value* under the next positional name in *ns*."""
+    name = "K%d" % len(ns)
+    ns[name] = value
+    return name
+
+
 class _Compiler:
-    """Compiles expressions to ``fn(ctx, vertex, eid)`` closures."""
+    """Compiles captures and filter predicates for one plan."""
 
     def __init__(self, graph, layout, vertex_vars, edge_vars):
         self._graph = graph
@@ -545,89 +563,82 @@ class _Compiler:
 
     # -- predicates ----------------------------------------------------
     def predicate(self, conjuncts, direct_vertex=None, direct_edge=None):
-        """Compile a conjunction into one guarded boolean closure."""
-        compiled = [
-            self.compile(conjunct, direct_vertex, direct_edge)
+        """Compile a conjunction into one generated
+        ``predicate(ctx, vertex, eid)`` function.
+
+        Context slots are literals in the source; column getters,
+        label-name functions and constants are bound by name in the
+        ``exec`` namespace, so filters that differ only in those share
+        one code object.  A type mismatch or a division by zero makes
+        the predicate False (:func:`~repro.pgql.expressions.
+        evaluate_predicate` semantics).
+        """
+        ns = {}
+        terms = " and ".join(
+            "bool(%s)" % self._source(conjunct, direct_vertex,
+                                      direct_edge, ns)
             for conjunct in conjuncts
-        ]
-        if len(compiled) == 1:
-            single = compiled[0]
-
-            def predicate(ctx, vertex, eid):
-                try:
-                    return bool(single(ctx, vertex, eid))
-                except (TypeError, ZeroDivisionError):
-                    return False
-
-            return predicate
-
-        def predicate(ctx, vertex, eid):
-            try:
-                return all(fn(ctx, vertex, eid) for fn in compiled)
-            except (TypeError, ZeroDivisionError):
-                return False
-
-        return predicate
+        )
+        source = (
+            "def predicate(ctx, vertex, eid):\n"
+            "    try:\n"
+            "        return %s\n"
+            "    except (TypeError, ZeroDivisionError):\n"
+            "        return False\n" % terms
+        )
+        exec(_compile_predicate(source), ns)
+        return ns["predicate"]
 
     # -- expression nodes ----------------------------------------------
-    def compile(self, expr, direct_vertex=None, direct_edge=None):
+    def _source(self, expr, direct_vertex, direct_edge, ns):
+        """Python source for *expr*; binds its constants into *ns*."""
         graph = self._graph
         if isinstance(expr, Literal):
-            value = expr.value
-            return lambda ctx, vertex, eid: value
+            return _bind(ns, expr.value)
         if isinstance(expr, (VarRef, IdCall)):
             var = expr.name if isinstance(expr, VarRef) else expr.var
             if var == direct_vertex:
-                return lambda ctx, vertex, eid: vertex
+                return "vertex"
             if var == direct_edge:
-                return lambda ctx, vertex, eid: eid
+                return "eid"
             symbol = ("v", var) if var in self._vertex_vars else ("e", var)
-            slot = self._layout.slot(symbol)
-            return lambda ctx, vertex, eid: ctx[slot]
+            return "ctx[%d]" % self._layout.slot(symbol)
         if isinstance(expr, PropRef):
             if expr.var == direct_vertex:
                 getter = self._vertex_column(expr.prop).get
-                return lambda ctx, vertex, eid: getter(vertex)
+                return "%s(vertex)" % _bind(ns, getter)
             if expr.var == direct_edge:
                 getter = self._edge_column(expr.prop).get
-                return lambda ctx, vertex, eid: getter(eid)
+                return "%s(eid)" % _bind(ns, getter)
             tag = "vp" if expr.var in self._vertex_vars else "ep"
-            slot = self._layout.slot((tag, expr.var, expr.prop))
-            return lambda ctx, vertex, eid: ctx[slot]
+            return "ctx[%d]" % self._layout.slot((tag, expr.var, expr.prop))
         if isinstance(expr, LabelCall):
             if expr.var == direct_vertex:
-                return lambda ctx, vertex, eid: graph.vertex_label_name(vertex)
+                return "%s(vertex)" % _bind(ns, graph.vertex_label_name)
             if expr.var == direct_edge:
-                return lambda ctx, vertex, eid: graph.edge_label_name(eid)
+                return "%s(eid)" % _bind(ns, graph.edge_label_name)
             tag = "vl" if expr.var in self._vertex_vars else "el"
-            slot = self._layout.slot((tag, expr.var))
-            return lambda ctx, vertex, eid: ctx[slot]
+            return "ctx[%d]" % self._layout.slot((tag, expr.var))
         if isinstance(expr, HasPropCall):
             if expr.var in self._vertex_vars:
-                value = graph.has_vertex_prop(expr.prop)
-            else:
-                value = graph.has_edge_prop(expr.prop)
-            return lambda ctx, vertex, eid: value
+                return _bind(ns, graph.has_vertex_prop(expr.prop))
+            return _bind(ns, graph.has_edge_prop(expr.prop))
         if isinstance(expr, Unary):
-            inner = self.compile(expr.operand, direct_vertex, direct_edge)
+            inner = self._source(expr.operand, direct_vertex, direct_edge, ns)
             if expr.op == "NOT":
-                return lambda ctx, vertex, eid: not inner(ctx, vertex, eid)
-            return lambda ctx, vertex, eid: -inner(ctx, vertex, eid)
+                return "(not %s)" % inner
+            return "(-%s)" % inner
         if isinstance(expr, Binary):
-            lhs = self.compile(expr.lhs, direct_vertex, direct_edge)
-            rhs = self.compile(expr.rhs, direct_vertex, direct_edge)
-            if expr.op == "AND":
-                return lambda ctx, vertex, eid: (
-                    bool(lhs(ctx, vertex, eid)) and bool(rhs(ctx, vertex, eid))
+            op = _PY_BINARY.get(expr.op)
+            if op is None:
+                raise PgqlValidationError(
+                    "unknown binary operator %r" % expr.op
                 )
-            if expr.op == "OR":
-                return lambda ctx, vertex, eid: (
-                    bool(lhs(ctx, vertex, eid)) or bool(rhs(ctx, vertex, eid))
-                )
-            op = binary_op_func(expr.op)
-            return lambda ctx, vertex, eid: op(
-                lhs(ctx, vertex, eid), rhs(ctx, vertex, eid)
-            )
+            lhs = self._source(expr.lhs, direct_vertex, direct_edge, ns)
+            rhs = self._source(expr.rhs, direct_vertex, direct_edge, ns)
+            if expr.op in ("AND", "OR"):
+                return "(bool(%s) %s bool(%s))" % (lhs, op, rhs)
+            return "(%s %s %s)" % (lhs, op, rhs)
         if isinstance(expr, Aggregate):
             raise PlanError("aggregates cannot appear in compiled filters")
         raise PlanError("cannot compile expression: %r" % (expr,))

@@ -175,6 +175,10 @@ class QueryMachine:
         #: Stamps left by the last idle_progress/_attempt_completions.
         #: Both are idempotent, so an unchanged stamp skips the call.
         self._idle_stamp = self._completions_stamp = None
+        #: Stamp at which a free worker's step used nothing and changed
+        #: nothing: every free worker's step repeats that until the
+        #: stamp moves (see :meth:`run_workers`).
+        self._free_idle_stamp = None
 
     # ------------------------------------------------------------------
     # Bootstrap
@@ -223,16 +227,49 @@ class QueryMachine:
         """Give each of the *workers* one step; returns the ops used.
 
         A quiescent machine is charged the idle steps in bulk instead.
+        So is a *free* worker (no debt, no synchronous wait, no parked
+        computation) whose step is known to find nothing: its step reads
+        only state the stamp covers, so it repeats the last free step
+        that used nothing at the same stamp, and with nothing buffered,
+        no bootstrap left and the completions already tried at this
+        stamp there is nothing it could find.
         """
         if self._quiescent:
             self.metrics.idle_ticks += workers
             return 0
         before = self._stamp()
         used = 0
+        pool = self._workers
         for worker_index in range(workers):
-            used += self.worker_step(worker_index, budget)
+            worker = pool[worker_index]
+            if worker.debt or worker.waiting_for_seq is not None or \
+                    any(worker.slots):
+                used += self.worker_step(worker_index, budget)
+                continue
+            stamp = self._stamp()
+            if stamp == self._free_idle_stamp or (
+                not self.metrics.cur_buffered_contexts
+                and not self._bootstrap_chunks
+                and stamp == self._completions_stamp
+            ):
+                self.metrics.idle_ticks += 1
+                self._advance_phase()
+                continue
+            step = self.worker_step(worker_index, budget)
+            if not step and not any(worker.slots) and \
+                    stamp == self._stamp():
+                self._free_idle_stamp = stamp
+            used += step
         self._quiescent = not used and before == self._stamp()
         return used
+
+    def _advance_phase(self):
+        """Bootstrap -> await-completion -> finished, checked after
+        every worker step."""
+        if self._bootstrapping:
+            self._bootstrapping = bool(self._bootstrap_chunks)
+        elif self.termination.all_complete():
+            self._finished = True
 
     def worker_step(self, worker_index, budget):
         if self._finished:
@@ -242,10 +279,7 @@ class QueryMachine:
         # returned value is the time slice consumed (for idleness).
         worker = self._workers[worker_index]
         used = worker.step(budget)
-        if self._bootstrapping:
-            self._bootstrapping = bool(self._bootstrap_chunks)
-        elif self.termination.all_complete():
-            self._finished = True
+        self._advance_phase()
         if self._sync_wait is not None:
             worker.waiting_for_seq = self._sync_wait
             self._sync_wait = None

@@ -1,5 +1,7 @@
 """White-box tests of runtime internals: machine, messages, hops, worker."""
 
+from collections import Counter
+
 import pytest
 
 from repro import ClusterConfig, PlannerOptions, run_query
@@ -10,7 +12,7 @@ from repro.plan import plan_query
 from repro.runtime.hops import AllScanItem, CNItem
 from repro.runtime.machine import QueryMachine, _item_weight
 from repro.runtime.messages import Ack, Completed, WorkMessage
-from repro.runtime.worker import Computation, ScanFrame, StageFrame
+from repro.runtime.worker import Computation, ScanFrame, StageFrame, Worker
 
 
 def make_machine(graph=None, machines=2, **config_kwargs):
@@ -133,6 +135,36 @@ class TestQuiescence:
         assert not m0._quiescent
         assert m0.run_workers(1, 32) == 0
         assert m0._quiescent
+
+    def test_free_workers_skip_their_step(self, monkeypatch):
+        # One machine, no work sharing: worker 0 takes the only bootstrap
+        # chunk and keeps every continuation on its own stack, so the
+        # other three workers stay free and have nothing to find.
+        def machine():
+            _, (m0,) = make_machine(machines=1, workers_per_machine=4,
+                                    work_sharing=False)
+            return m0
+
+        skipping, full = machine(), machine()
+        stepped = Counter()
+        original = Worker.step
+
+        def counting_step(worker, budget):
+            if worker.rt is skipping:
+                stepped[worker.index] += 1
+            return original(worker, budget)
+
+        monkeypatch.setattr(Worker, "step", counting_step)
+        passes = 0
+        while not full._finished:
+            passes += 1
+            used = skipping.run_workers(4, 8)
+            assert used == sum(full.worker_step(i, 8) for i in range(4))
+            assert skipping.metrics.idle_ticks == full.metrics.idle_ticks
+            assert skipping.metrics.ops == full.metrics.ops
+            assert skipping._finished == full._finished
+        assert passes > 3 and skipping.metrics.idle_ticks > 0
+        assert stepped == Counter({0: passes})  # free workers never ran
 
 
 class TestFrames:
